@@ -48,7 +48,6 @@ from .models import (
     manufacture_forces,
 )
 from .potentials import (
-    FiniteDifferenceStencil,
     LatticeModel,
     LennardJones,
     cauchy_born_d1,
@@ -59,10 +58,6 @@ from .potentials import (
     phi_d1,
     phi_d2,
     phi_d3,
-    site_energy,
-    site_energy_d3,
-    site_energy_grad,
-    site_energy_hess,
 )
 from .reference import (
     ReferenceSolution,

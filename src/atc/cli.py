@@ -16,7 +16,7 @@ from .coupling import NewtonOptions
 from .exceptions import AtcError, NonConvergenceError, UsageError
 
 _CONFIG_KEYS = {
-    "r-core": str, "gamma": float, "norm": str, "hessian": str, "tol": float,
+    "r-core": str, "gamma": float, "norm": str, "tol": float,
     "out": str, "plot-data": str, "warm-start": lambda s: s.lower() == "true",
 }
 
@@ -51,15 +51,9 @@ def _merged(args, config_path) -> dict:
 
 
 def _options(merged) -> NewtonOptions:
-    kwargs = {}
     if "tol" in merged:
-        kwargs["tolerance"] = merged["tol"]
-    if "hessian" in merged:
-        mode = {"full": "full_newton", "gauss": "gauss_newton"}.get(merged["hessian"])
-        if mode is None:
-            raise UsageError("--hessian must be 'full' or 'gauss'")
-        kwargs["hessian_mode"] = mode
-    return NewtonOptions(**kwargs)
+        return NewtonOptions(tolerance=merged["tol"])
+    return NewtonOptions()
 
 
 def _require(merged, key):
@@ -122,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, help="far-field decay exponent")
         p.add_argument("--norm", choices=("energy", "uniform"),
                        help="which error norm the mesh grading targets")
-        p.add_argument("--hessian", choices=("full", "gauss"),
-                       help="Newton Hessian mode")
         p.add_argument("--tol", type=float, help="Newton residual tolerance")
         p.add_argument("--out", help="write CSV records to this file")
         p.add_argument("--config", help="key=value file mirroring the flags")

@@ -15,8 +15,8 @@ indefinite saddle-point system
     [ B   0  ]
 
 where A carries second derivatives with respect to the two displacement
-states (including adjoint-contracted third derivatives of the subproblem
-energies in full Newton mode) and B the constraint linearizations.
+states (including the adjoint-contracted third derivatives of the subproblem
+energies) and B the constraint linearizations.
 """
 
 from __future__ import annotations
@@ -40,16 +40,14 @@ BLOCK_NAMES = ("u_a", "u_c_minus", "u_c_plus",
 class NewtonOptions:
     """Damped Newton controls.
 
-    hessian_mode 'full_newton' keeps the adjoint-contracted third-derivative
-    terms in the displacement blocks; 'gauss_newton' drops them (useful to
-    quantify their contribution, at the cost of quadratic convergence).
+    Every step uses the full Hessian of the stationarity functional, with
+    the adjoint-contracted third-derivative terms in the displacement blocks.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 50
     damping_factor: float = 0.5
     sufficient_decrease: float = 1e-4
-    hessian_mode: str = "full_newton"
     min_step: float = 1e-12
 
     def __post_init__(self):
@@ -57,8 +55,6 @@ class NewtonOptions:
             raise UsageError("tolerance must be positive")
         if not 0.0 < self.damping_factor < 1.0:
             raise UsageError("damping_factor must lie in (0, 1)")
-        if self.hessian_mode not in ("full_newton", "gauss_newton"):
-            raise UsageError("hessian_mode must be 'full_newton' or 'gauss_newton'")
 
 
 class BlockLayout:
@@ -388,27 +384,20 @@ class CoupledProblem:
             state.u_a, state.u_c_minus, state.u_c_plus)
         return g
 
-    def lagrangian_hessian(self, state: SystemState,
-                           options: NewtonOptions | None = None) -> KktSystem:
+    def lagrangian_hessian(self, state: SystemState) -> KktSystem:
         """Block Hessian of the stationarity functional at the given state."""
-        opts = options or NewtonOptions()
-        full_newton = opts.hessian_mode == "full_newton"
         full_m, full_p = self._full_sides(state)
         minus, plus = self.continuum.minus, self.continuum.plus
 
-        a_aa = self._j_aa.copy()
-        a_cc_m = self._j_cc[0].copy()
-        a_cc_p = self._j_cc[1].copy()
-        if full_newton:
-            lam_a_full = np.zeros(self.atomistic.n)
-            lam_a_full[self.atomistic.test_idx] = state.lam_a
-            a_aa += self.atomistic.third_contraction(state.u_a, lam_a_full)
-            lam_m_full = np.zeros(minus.n)
-            lam_m_full[1:-1] = state.lam_c_minus
-            a_cc_m += minus.third_contraction(full_m, lam_m_full)
-            lam_p_full = np.zeros(plus.n)
-            lam_p_full[1:-1] = state.lam_c_plus
-            a_cc_p += plus.third_contraction(full_p, lam_p_full)
+        lam_a_full = np.zeros(self.atomistic.n)
+        lam_a_full[self.atomistic.test_idx] = state.lam_a
+        a_aa = self._j_aa + self.atomistic.third_contraction(state.u_a, lam_a_full)
+        lam_m_full = np.zeros(minus.n)
+        lam_m_full[1:-1] = state.lam_c_minus
+        a_cc_m = self._j_cc[0] + minus.third_contraction(full_m, lam_m_full)
+        lam_p_full = np.zeros(plus.n)
+        lam_p_full[1:-1] = state.lam_c_plus
+        a_cc_p = self._j_cc[1] + plus.third_contraction(full_p, lam_p_full)
 
         fs_m, fs_p = minus.free_slice, plus.free_slice
         b_a = self.atomistic.hessian(state.u_a)[self.atomistic.test_idx, :]
@@ -460,7 +449,7 @@ class CoupledProblem:
                     f"no convergence in {opts.max_iterations} iterations "
                     f"(residual {res:.3e})",
                     residual_history=diag.residuals, diagnostics=diag)
-            system = self.lagrangian_hessian(state, opts)
+            system = self.lagrangian_hessian(state)
             step, rel = solve_kkt_linear(system, -grad)
             diag.kkt_residuals.append(rel)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import IllPosedParametersError, UsageError
-from .potentials import LatticeModel
+from .potentials import INTERACTION_RANGE, LatticeModel
 
 
 def _snap(p: float) -> float:
@@ -48,8 +48,8 @@ def _grading_exponent(gamma: float, d: int, norm: str) -> float:
     raise UsageError(f"unknown norm {norm!r}, expected 'energy' or 'uniform'")
 
 
-def optimal_radii(r_core: int, gamma: float, d: int = 1, norm: str = "energy",
-                  cutoff: int = 2) -> tuple[int, int]:
+def optimal_radii(r_core: int, gamma: float, d: int = 1,
+                  norm: str = "energy") -> tuple[int, int]:
     """Atomistic and outer radii balancing the error contributions.
 
     r_a = 2 r_core keeps the overlap width proportional to the core radius,
@@ -58,10 +58,10 @@ def optimal_radii(r_core: int, gamma: float, d: int = 1, norm: str = "energy",
     """
     if gamma <= 0.0:
         raise UsageError("gamma must be positive")
-    if r_core < 2 * cutoff:
+    if r_core < 2 * INTERACTION_RANGE:
         raise UsageError(
             f"r_core={r_core} too small: overlap width r_a - r_core = r_core "
-            f"must be at least 2*cutoff = {2 * cutoff}"
+            f"must be at least twice the interaction range, {2 * INTERACTION_RANGE}"
         )
     e = _radius_exponent(gamma, d, norm)
     r_a = 2 * r_core
@@ -114,7 +114,7 @@ class DomainDecomposition:
 
     @property
     def margin(self) -> int:
-        return self.model.interior_margin
+        return INTERACTION_RANGE
 
     @property
     def sites(self) -> np.ndarray:
@@ -149,10 +149,8 @@ class DomainDecomposition:
 def make_decomposition(r_core: int, gamma: float, norm: str = "energy",
                        model: LatticeModel | None = None) -> DomainDecomposition:
     """Decomposition with radii from optimal_radii."""
-    model = model or LatticeModel()
-    r_a, r_c = optimal_radii(r_core, gamma, d=model.dimension, norm=norm,
-                             cutoff=model.interior_margin)
-    return DomainDecomposition(r_core, r_a, r_c, model)
+    r_a, r_c = optimal_radii(r_core, gamma, norm=norm)
+    return DomainDecomposition(r_core, r_a, r_c, model or LatticeModel())
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def build_graded_mesh(dec: DomainDecomposition, gamma: float,
     nodes = list(range(-dec.r_a, dec.r_a + 1))
     xi = dec.r_a
     while True:
-        step = mesh_size(xi, dec.r_a, gamma, d=dec.model.dimension, norm=norm)
+        step = mesh_size(xi, dec.r_a, gamma, norm=norm)
         if xi + step >= dec.r_c:
             break
         xi += step

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coupling import CoupledProblem, NewtonOptions, SystemState
 from .domain import build_graded_mesh, count_dof, make_decomposition
-from .exceptions import NonConvergenceError, UsageError
+from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
 from .models import exact_solution
 from .reference import energy_seminorm_error, max_norm_error
 
@@ -113,20 +113,29 @@ def _build_problem(r_core, gamma, norm) -> CoupledProblem:
     return CoupledProblem(dec, mesh, gamma)
 
 
-def _solve_point(r_core, gamma, norm, options, initial=None, problem=None):
+def _solve_point(r_core, gamma, norm, options, initial=None, problem=None,
+                 record_errors=False):
+    """Solve and measure one point; a NonConvergenceError gives an unconverged record.
+
+    With record_errors, so do a failed linear solve and an unevaluable
+    state; that record has no iterations and a NaN residual.
+    """
     t0 = time.perf_counter()
     if problem is None:
         problem = _build_problem(r_core, gamma, norm)
     mesh = problem.mesh
     dec = problem.dec
     opts = options or NewtonOptions()
+    state = None
     try:
         state, diag = problem.newton_solve(initial, opts)
-        converged = True
     except NonConvergenceError as err:
         diag = err.diagnostics
-        state = None
-        converged = False
+    except (ConfigurationError, KktSolverError):
+        if not record_errors:
+            raise
+        diag = None
+    converged = state is not None
     if converged:
         err_l2, err_inf = measure_errors(problem, state)
         objective = problem.objective(state.u_a, state.u_c_minus, state.u_c_plus)
@@ -135,7 +144,8 @@ def _solve_point(r_core, gamma, norm, options, initial=None, problem=None):
     record = ConvergenceRecord(
         r_core=r_core, r_a=dec.r_a, r_c=dec.r_c, dof=count_dof(dec, mesh),
         err_l2=err_l2, err_inf=err_inf, objective=objective,
-        newton_iters=diag.iterations, residual=diag.residuals[-1],
+        newton_iters=diag.iterations if diag is not None else 0,
+        residual=diag.residuals[-1] if diag is not None else float("nan"),
         wall_time=time.perf_counter() - t0, converged=converged)
     return record, problem, state
 
@@ -171,7 +181,11 @@ def run_sweep(r_cores, gamma: float, norm: str = "energy",
               options: NewtonOptions | None = None, warm_start: bool = False,
               csv_path=None, plot_path=None,
               progress=None) -> list[ConvergenceRecord]:
-    """Solve a sequence of core radii; failures are recorded, not raised."""
+    """Solve a sequence of core radii; solver failures are recorded, not raised.
+
+    A non-converged Newton run, a failed linear solve or an unevaluable state
+    gives a record with converged false and NaN errors; a UsageError raises.
+    """
     records = []
     prev = None
     for r_core in r_cores:
@@ -181,7 +195,7 @@ def run_sweep(r_cores, gamma: float, norm: str = "energy",
             problem = _build_problem(r_core, gamma, norm)
             initial = _warm_initial(problem, *prev)
         record, problem, state = _solve_point(r_core, gamma, norm, options,
-                                              initial, problem)
+                                              initial, problem, record_errors=True)
         records.append(record)
         prev = (problem, state) if state is not None else None
         if progress is not None:

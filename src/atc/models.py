@@ -96,6 +96,47 @@ def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
     return ExternalForce(-dec.r_c, force_values(dec.sites, gamma, dec.model))
 
 
+def stencil_gradient(n: int, back, centre, fwd, vf, vb) -> np.ndarray:
+    """Gradient of a sum of three-point site energies, as a length-n vector.
+
+    Site i's energy depends on d_fwd = u[fwd_i] - u[centre_i] and
+    d_bwd = u[back_i] - u[centre_i]; vf and vb are its derivatives with
+    respect to them.  The three scatters are summed as
+    (forward + backward) - centre.
+    """
+    forward = np.bincount(fwd, weights=vf, minlength=n)
+    backward = np.bincount(back, weights=vb, minlength=n)
+    return (forward + backward) - np.bincount(centre, weights=vf + vb, minlength=n)
+
+
+def stencil_triplets(back, centre, fwd, cff, cfb, cbb):
+    """(rows, cols, vals) of the Hessian of a sum of three-point site energies.
+
+    Site i contributes the quadratic form with second derivatives
+    (cff, cfb, cbb) in (d_fwd, d_bwd), as in stencil_gradient.  Entries come
+    in the blocks (p,p), (c,c), (m,m), (p,c), (c,p), (m,c), (c,m), (p,m),
+    (m,p) with m, c, p = back, centre, fwd.  Keep that order: np.add.at sums
+    duplicate entries in it, and the rounding of the assembled Hessians, and
+    so the Newton iterates, depend on it.  A stencil with back = centre and
+    zero cfb, cbb has the forward difference only.
+    """
+    m, c, p = back, centre, fwd
+    off_fc = -(cff + cfb)
+    off_bc = -(cbb + cfb)
+    rows = np.concatenate((p, c, m, p, c, m, c, p, m))
+    cols = np.concatenate((p, c, m, c, p, c, m, m, p))
+    vals = np.concatenate((cff, cff + 2.0 * cfb + cbb, cbb, off_fc, off_fc,
+                           off_bc, off_bc, cfb, cfb))
+    return rows, cols, vals
+
+
+def _dense(n: int, rows, cols, vals) -> np.ndarray:
+    """Dense n x n matrix summing the triplets in order."""
+    H = np.zeros((n, n))
+    np.add.at(H, (rows, cols), vals)
+    return H
+
+
 class AtomisticModel:
     """Site-energy sum over the atomistic region with external force work.
 
@@ -107,8 +148,7 @@ class AtomisticModel:
     sites.
     """
 
-    def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None,
-                 site_potential=None):
+    def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
         self.dec = dec
         self.model = dec.model
         self.sites = dec.atomistic_sites
@@ -117,43 +157,24 @@ class AtomisticModel:
         # index ranges within the site array
         self.energy_idx = np.arange(m, self.n - m)            # interior sites
         self.test_idx = np.arange(2 * m, self.n - 2 * m)      # equilibrium sites
+        i = self.energy_idx
+        self._stencil = (i - 1, i, i + 1)
         force = force if force is not None else ExternalForce.zero(dec)
         self.force_test = force.at(dec.equilibrium_sites)
-        if site_potential is None:
-            self.site_model = self.model
-        else:
-            # per-site interaction law, broadcast through the pair potential
-            pots = [site_potential(int(x)) for x in self.sites[self.energy_idx]]
-            from .potentials import LennardJones
 
-            self.site_model = LatticeModel(
-                dimension=self.model.dimension,
-                deformation_gradient=self.model.deformation_gradient,
-                cutoff=self.model.cutoff,
-                potential=LennardJones(
-                    well_depth=np.array([p.well_depth for p in pots]),
-                    equilibrium_distance=np.array([p.equilibrium_distance for p in pots]),
-                ),
-            )
-
-    def _stencils(self, u):
+    def _differences(self, u):
         i = self.energy_idx
         return u[i + 1] - u[i], u[i - 1] - u[i]
 
     def energy(self, u) -> float:
-        d_fwd, d_bwd = self._stencils(u)
-        v = site_energy_array(d_fwd, d_bwd, self.site_model)
+        d_fwd, d_bwd = self._differences(u)
+        v = site_energy_array(d_fwd, d_bwd, self.model)
         return float(np.sum(v) - np.dot(self.force_test, u[self.test_idx]))
 
     def gradient(self, u) -> np.ndarray:
         """Derivative of the energy with respect to every site value."""
-        d_fwd, d_bwd = self._stencils(u)
-        vf, vb = site_gradient_arrays(d_fwd, d_bwd, self.site_model)
-        g = np.zeros(self.n)
-        i = self.energy_idx
-        np.add.at(g, i + 1, vf)
-        np.add.at(g, i - 1, vb)
-        np.add.at(g, i, -(vf + vb))
+        vf, vb = site_gradient_arrays(*self._differences(u), self.model)
+        g = stencil_gradient(self.n, *self._stencil, vf, vb)
         g[self.test_idx] -= self.force_test
         return g
 
@@ -161,44 +182,18 @@ class AtomisticModel:
         """Gradient components in the equilibrium-site directions."""
         return self.gradient(u)[self.test_idx]
 
-    def _scatter_pairwise(self, cff, cfb, cbb) -> np.ndarray:
-        """Assemble per-site local quadratic forms into a dense matrix.
-
-        Local degrees of freedom at site xi are (xi-1, xi, xi+1) entering
-        through d_fwd = u(xi+1) - u(xi) and d_bwd = u(xi-1) - u(xi).
-        """
-        H = np.zeros((self.n, self.n))
-        i = self.energy_idx
-        m, c, p = i - 1, i, i + 1
-        np.add.at(H, (p, p), cff)
-        np.add.at(H, (c, c), cff + 2.0 * cfb + cbb)
-        np.add.at(H, (m, m), cbb)
-        off_fc = -(cff + cfb)
-        np.add.at(H, (p, c), off_fc)
-        np.add.at(H, (c, p), off_fc)
-        off_bc = -(cbb + cfb)
-        np.add.at(H, (m, c), off_bc)
-        np.add.at(H, (c, m), off_bc)
-        np.add.at(H, (p, m), cfb)
-        np.add.at(H, (m, p), cfb)
-        return H
-
     def hessian(self, u) -> np.ndarray:
-        d_fwd, d_bwd = self._stencils(u)
-        cff, cfb, cbb = site_hessian_arrays(d_fwd, d_bwd, self.site_model)
-        return self._scatter_pairwise(cff, cfb, cbb)
+        cff, cfb, cbb = site_hessian_arrays(*self._differences(u), self.model)
+        return _dense(self.n, *stencil_triplets(*self._stencil, cff, cfb, cbb))
 
     def third_contraction(self, u, weights) -> np.ndarray:
         """Third derivative tensor contracted once with a full-length vector."""
-        d_fwd, d_bwd = self._stencils(u)
-        fff, ffb, fbb, bbb = site_third_arrays(d_fwd, d_bwd, self.site_model)
-        i = self.energy_idx
-        sf = weights[i + 1] - weights[i]
-        sb = weights[i - 1] - weights[i]
+        fff, ffb, fbb, bbb = site_third_arrays(*self._differences(u), self.model)
+        sf, sb = self._differences(weights)
         cff = fff * sf + ffb * sb
         cfb = ffb * sf + fbb * sb
         cbb = fbb * sf + bbb * sb
-        return self._scatter_pairwise(cff, cfb, cbb)
+        return _dense(self.n, *stencil_triplets(*self._stencil, cff, cfb, cbb))
 
 
 class ContinuumSide:
@@ -220,6 +215,11 @@ class ContinuumSide:
         if np.any(self.h <= 0):
             raise UsageError("side nodes must be strictly increasing")
         self.n = len(self.nodes)
+        # element e is a stencil without a backward neighbour: its only
+        # difference is u[e + 1] - u[e]
+        e = np.arange(self.n - 1)
+        self._stencil = (e, e, e + 1)
+        self._zero = np.zeros(self.n - 1)
         self.load = self._load_vector(force)
 
     # free nodes exclude the outer Dirichlet node; test nodes additionally
@@ -270,28 +270,20 @@ class ContinuumSide:
 
     def gradient(self, u_full) -> np.ndarray:
         s1 = cauchy_born_d1(self.strains(u_full), self.model)
-        g = np.zeros(self.n)
-        g[:-1] -= s1
-        g[1:] += s1
-        return g - self.load
+        return stencil_gradient(self.n, *self._stencil, s1, self._zero) - self.load
 
-    def _tridiagonal(self, coef) -> np.ndarray:
-        H = np.zeros((self.n, self.n))
-        i = np.arange(self.n - 1)
-        np.add.at(H, (i, i), coef)
-        np.add.at(H, (i + 1, i + 1), coef)
-        np.add.at(H, (i, i + 1), -coef)
-        np.add.at(H, (i + 1, i), -coef)
-        return H
+    def _element_matrix(self, coef) -> np.ndarray:
+        return _dense(self.n, *stencil_triplets(*self._stencil, coef,
+                                                self._zero, self._zero))
 
     def hessian(self, u_full) -> np.ndarray:
         coef = cauchy_born_d2(self.strains(u_full), self.model) / self.h
-        return self._tridiagonal(coef)
+        return self._element_matrix(coef)
 
     def third_contraction(self, u_full, weights_full) -> np.ndarray:
         coef = (cauchy_born_d3(self.strains(u_full), self.model)
                 * np.diff(weights_full) / self.h**2)
-        return self._tridiagonal(coef)
+        return self._element_matrix(coef)
 
 
 class ContinuumModel:

@@ -14,11 +14,10 @@ All evaluation routines accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
-from .exceptions import ConfigurationError, UsageError
+from .exceptions import ConfigurationError
 
 # Bonds shorter than this are treated as unevaluable rather than fed to the
 # r**-12 singularity, which would otherwise drive the solver to overflow.
@@ -87,91 +86,43 @@ def phi_d3(r):
     return _DEFAULT_POTENTIAL.phi_d3(r)
 
 
+# Longest bond of the site energy in lattice units: site xi carries the first
+# neighbour bond (xi, xi+1) and the second neighbour bond (xi-1, xi+1); see
+# _bond_lengths.
+INTERACTION_RANGE = 2
+
+
 @dataclass(frozen=True)
 class LatticeModel:
-    """Reference lattice geometry and interaction law.
+    """Reference geometry and interaction law of the 1D chain.
+
+    Every site interacts with its first and second neighbours through one
+    scalar pair potential.
 
     Parameters
     ----------
-    dimension : int
-        Spatial dimension.  Only 1 is implemented.
     deformation_gradient : float
         Macroscopic strain applied to the integer lattice; site spacing in
         the reference state.
-    cutoff : float
-        Interaction cutoff radius in deformed units.
     potential : LennardJones
         Pair interaction.
     """
 
-    dimension: int = 1
     deformation_gradient: float = 1.0
-    cutoff: float = 2.0
     potential: LennardJones = field(default_factory=LennardJones)
 
     def __post_init__(self):
-        if self.dimension != 1:
-            raise NotImplementedError("only the one-dimensional lattice is implemented")
         if self.deformation_gradient <= 0.0:
             raise ValueError("deformation_gradient must be positive")
-        if not self.interaction_offsets:
-            raise ValueError("cutoff too small: empty interaction neighborhood")
 
     @property
-    def interaction_offsets(self) -> tuple[int, ...]:
-        """Nonzero integer offsets rho with 0 < |F*rho| <= cutoff, in order."""
-        m = int(np.floor(self.cutoff / self.deformation_gradient + 1e-12))
-        return tuple(range(-m, 0)) + tuple(range(1, m + 1))
-
-    @property
-    def interior_margin(self) -> int:
-        """Largest interaction offset; one 'interaction range' in lattice units."""
-        return max(self.interaction_offsets)
-
-    @property
-    def energy_shift(self):
+    def energy_shift(self) -> float:
         """Per-site energy of the undeformed lattice, subtracted for normalization.
 
-        Scalar for a homogeneous potential; an array when the potential
-        carries per-site parameters.
+        A scalar: the first and second neighbour bond energies of one site.
         """
         f = self.deformation_gradient
         return self.potential.phi(f) + self.potential.phi(2.0 * f)
-
-
-@dataclass(frozen=True)
-class FiniteDifferenceStencil:
-    """Displacement differences u(xi+rho) - u(xi), keyed by interaction offset."""
-
-    values: Mapping[int, float]
-
-    def validate(self, model: LatticeModel):
-        if set(self.values) != set(model.interaction_offsets):
-            raise _stencil_key_error(self.values, model)
-
-    @property
-    def forward(self) -> float:
-        return float(self.values[1])
-
-    @property
-    def backward(self) -> float:
-        return float(self.values[-1])
-
-    @classmethod
-    def zero(cls, model: LatticeModel) -> "FiniteDifferenceStencil":
-        return cls({rho: 0.0 for rho in model.interaction_offsets})
-
-    @classmethod
-    def from_displacement(cls, u, xi: int, model: LatticeModel) -> "FiniteDifferenceStencil":
-        """Stencil of an indexable displacement field at site xi."""
-        return cls({rho: float(u[xi + rho] - u[xi]) for rho in model.interaction_offsets})
-
-
-def _stencil_key_error(values, model):
-    return UsageError(
-        f"stencil keys {sorted(values)} do not match interaction offsets "
-        f"{list(model.interaction_offsets)}"
-    )
 
 
 def _bond_lengths(d_fwd, d_bwd, model: LatticeModel):
@@ -191,7 +142,11 @@ def _bond_lengths(d_fwd, d_bwd, model: LatticeModel):
 
 
 def site_energy_array(d_fwd, d_bwd, model: LatticeModel = LatticeModel()):
-    """Normalized site energy for arrays of forward/backward differences."""
+    """Normalized site energy for arrays of forward/backward differences.
+
+    Zero for zero differences, and equal to the Cauchy-Born density under a
+    homogeneous strain (d_fwd = g, d_bwd = -g).
+    """
     r1, r2 = _bond_lengths(d_fwd, d_bwd, model)
     p = model.potential
     return p.phi(r1) + p.phi(r2) - model.energy_shift
@@ -219,60 +174,6 @@ def site_third_arrays(d_fwd, d_bwd, model: LatticeModel = LatticeModel()):
     p = model.potential
     t2 = p.phi_d3(r2)
     return p.phi_d3(r1) + t2, -t2, t2, -t2
-
-
-def _unpack(stencil, model):
-    if isinstance(stencil, FiniteDifferenceStencil):
-        stencil.validate(model)
-        return stencil.forward, stencil.backward
-    if set(stencil) != set(model.interaction_offsets):
-        raise _stencil_key_error(stencil, model)
-    return float(stencil[1]), float(stencil[-1])
-
-
-def site_energy(stencil, model: LatticeModel = LatticeModel()) -> float:
-    """Normalized site energy of one finite-difference stencil.
-
-    Zero for the zero stencil, and equal to the Cauchy-Born density under a
-    homogeneous strain (d_fwd = g, d_bwd = -g).
-    """
-    d_fwd, d_bwd = _unpack(stencil, model)
-    return float(site_energy_array(d_fwd, d_bwd, model))
-
-
-def site_energy_grad(stencil, model: LatticeModel = LatticeModel()) -> dict:
-    """First derivatives keyed by offset; offsets beyond +-1 do not enter."""
-    d_fwd, d_bwd = _unpack(stencil, model)
-    vf, vb = site_gradient_arrays(d_fwd, d_bwd, model)
-    out = {rho: 0.0 for rho in model.interaction_offsets}
-    out[1] = float(vf)
-    out[-1] = float(vb)
-    return out
-
-
-def site_energy_hess(stencil, model: LatticeModel = LatticeModel()) -> dict:
-    """Second derivatives keyed by offset pairs."""
-    d_fwd, d_bwd = _unpack(stencil, model)
-    ff, fb, bb = site_hessian_arrays(d_fwd, d_bwd, model)
-    out = {(r, s): 0.0 for r in model.interaction_offsets for s in model.interaction_offsets}
-    out[(1, 1)] = float(ff)
-    out[(1, -1)] = out[(-1, 1)] = float(fb)
-    out[(-1, -1)] = float(bb)
-    return out
-
-
-def site_energy_d3(stencil, model: LatticeModel = LatticeModel()) -> dict:
-    """Third derivatives keyed by offset triples."""
-    d_fwd, d_bwd = _unpack(stencil, model)
-    fff, ffb, fbb, bbb = site_third_arrays(d_fwd, d_bwd, model)
-    offs = model.interaction_offsets
-    out = {(r, s, t): 0.0 for r in offs for s in offs for t in offs}
-    from itertools import permutations
-
-    for key, val in (((1, 1, 1), fff), ((1, 1, -1), ffb), ((1, -1, -1), fbb), ((-1, -1, -1), bbb)):
-        for perm in set(permutations(key)):
-            out[perm] = float(val)
-    return out
 
 
 def _cb_bonds(strain, model):

@@ -23,7 +23,8 @@ from scipy.integrate import quad
 
 from .domain import DomainDecomposition, GradedMesh
 from .exceptions import ConfigurationError, NonConvergenceError, UsageError
-from .models import exact_solution, exact_solution_derivative, force_values
+from .models import (exact_solution, exact_solution_derivative, force_values,
+                     stencil_gradient, stencil_triplets)
 from .potentials import site_gradient_arrays, site_hessian_arrays
 
 
@@ -58,29 +59,19 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
         return np.concatenate((np.zeros(pad), u, np.zeros(pad)))
 
     idx = np.arange(1, n + 2 * pad - 1)  # energy sites within the padded array
+    stencil = (idx - 1, idx, idx + 1)
+
+    def differences(u):
+        ue = padded(u)
+        return ue[idx + 1] - ue[idx], ue[idx - 1] - ue[idx]
 
     def residual_vec(u):
-        ue = padded(u)
-        d_fwd = ue[idx + 1] - ue[idx]
-        d_bwd = ue[idx - 1] - ue[idx]
-        vf, vb = site_gradient_arrays(d_fwd, d_bwd, model)
-        g = np.zeros(n + 2 * pad)
-        np.add.at(g, idx + 1, vf)
-        np.add.at(g, idx - 1, vb)
-        np.add.at(g, idx, -(vf + vb))
-        return g[pad:-pad] - forces
+        vf, vb = site_gradient_arrays(*differences(u), model)
+        return stencil_gradient(n + 2 * pad, *stencil, vf, vb)[pad:-pad] - forces
 
     def hessian(u):
-        ue = padded(u)
-        d_fwd = ue[idx + 1] - ue[idx]
-        d_bwd = ue[idx - 1] - ue[idx]
-        cff, cfb, cbb = site_hessian_arrays(d_fwd, d_bwd, model)
-        m, c, p = idx - 1, idx, idx + 1
-        rows = np.concatenate((p, c, m, p, c, m, c, p, m))
-        cols = np.concatenate((p, c, m, c, p, c, m, m, p))
-        vals = np.concatenate((cff, cff + 2 * cfb + cbb, cbb,
-                               -(cff + cfb), -(cff + cfb),
-                               -(cbb + cfb), -(cbb + cfb), cfb, cfb))
+        cff, cfb, cbb = site_hessian_arrays(*differences(u), model)
+        rows, cols, vals = stencil_triplets(*stencil, cff, cfb, cbb)
         H = sp.coo_matrix((vals, (rows, cols)),
                           shape=(n + 2 * pad, n + 2 * pad)).tocsc()
         return H[pad:-pad, pad:-pad]

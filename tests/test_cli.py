@@ -37,8 +37,12 @@ def test_run_missing_required_option(capsys):
 
 
 def test_run_hessian_and_tol_flags(capsys):
+    # full Newton is the only mode; the former mode flag is not accepted
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--r-core", "4", "--gamma", "1.5", "--hessian", "gauss"], capsys)
+    assert exc.value.code == 2
     code, out, _ = run_cli(["run", "--r-core", "4", "--gamma", "1.5",
-                            "--hessian", "gauss", "--tol", "1e-8"], capsys)
+                            "--tol", "1e-8"], capsys)
     assert code == 0
     assert "converged=true" in out
 

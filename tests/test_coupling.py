@@ -254,29 +254,6 @@ def test_hessian_vector_products_match_fd(small_problem):
         assert rel_err_inf(K @ v, fd) < 1e-5
 
 
-def test_gauss_newton_coincides_at_zero_adjoints(small_problem):
-    rng = np.random.default_rng(23)
-    state = random_state(small_problem, rng)
-    state.lam_a[:] = 0.0
-    state.lam_c_minus[:] = 0.0
-    state.lam_c_plus[:] = 0.0
-    full = small_problem.lagrangian_hessian(
-        state, NewtonOptions(hessian_mode="full_newton")).matrix
-    gauss = small_problem.lagrangian_hessian(
-        state, NewtonOptions(hessian_mode="gauss_newton")).matrix
-    diff = (full - gauss)
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-
-
-def test_gauss_newton_differs_with_adjoints(small_problem):
-    rng = np.random.default_rng(24)
-    state = random_state(small_problem, rng)
-    full = small_problem.lagrangian_hessian(state).matrix
-    gauss = small_problem.lagrangian_hessian(
-        state, NewtonOptions(hessian_mode="gauss_newton")).matrix
-    assert np.max(np.abs((full - gauss).toarray())) > 0.0
-
-
 def test_solve_kkt_zero_rhs(small_problem):
     state = small_problem.zero_state()
     system = small_problem.lagrangian_hessian(state)
@@ -356,14 +333,6 @@ def test_newton_options_validation():
         NewtonOptions(tolerance=0.0)
     with pytest.raises(UsageError):
         NewtonOptions(damping_factor=1.0)
-    with pytest.raises(UsageError):
-        NewtonOptions(hessian_mode="bfgs")
-
-
-def test_gauss_newton_mode_solves_too(small_problem):
-    state, diag = small_problem.newton_solve(
-        options=NewtonOptions(hessian_mode="gauss_newton", max_iterations=100))
-    assert diag.converged
 
 
 def test_diagnostics_csv_format(solved_10):

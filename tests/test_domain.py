@@ -12,6 +12,7 @@ from atc import (
     DomainDecomposition,
     GradedMesh,
     IllPosedParametersError,
+    LatticeModel,
     UsageError,
     build_graded_mesh,
     count_dof,
@@ -121,6 +122,12 @@ def test_decomposition_invariants():
     assert dec.overlap_intervals == ((-20, -10), (10, 20))
     # core region sits strictly inside the twice-interior set
     assert dec.r_core <= dec.equilibrium_sites.max()
+
+
+def test_margin_is_the_site_energy_range():
+    # the site energy sees two neighbours whatever the lattice spacing
+    dec = make_decomposition(10, 1.5, model=LatticeModel(deformation_gradient=0.6))
+    assert dec.margin == 2
 
 
 def test_decomposition_validation():

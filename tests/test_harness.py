@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import atc.coupling
 from atc import (
+    ConfigurationError,
     ConvergenceRecord,
+    KktSolverError,
     UsageError,
     fit_rate,
     read_csv,
@@ -16,7 +19,7 @@ from atc import (
     write_csv,
     write_plot_data,
 )
-from atc.harness import CSV_HEADER, strip_timing
+from atc.harness import CSV_HEADER, _build_problem, strip_timing
 from conftest import GAMMA
 
 
@@ -126,6 +129,27 @@ def test_sweep_records_failures_and_continues():
     assert all(r.residual > 0 for r in records)
     with pytest.raises(UsageError):
         fit_rate(records)
+
+
+@pytest.mark.parametrize("error", [KktSolverError, ConfigurationError])
+def test_sweep_records_solver_errors_and_continues(monkeypatch, error):
+    # a solver failure at one radius is recorded like a non-converged point;
+    # the radii before and after it still solve, and run_single still raises
+    solve = atc.coupling.solve_kkt_linear
+    failing_size = _build_problem(5, GAMMA, "energy").layout.total
+
+    def solve_or_fail(system, rhs, residual_bound=1e-10):
+        if len(rhs) == failing_size:
+            raise error("forced failure")
+        return solve(system, rhs, residual_bound)
+
+    monkeypatch.setattr(atc.coupling, "solve_kkt_linear", solve_or_fail)
+    records = run_sweep([4, 5, 6], GAMMA)
+    assert [r.r_core for r in records] == [4, 5, 6]
+    assert [r.converged for r in records] == [True, False, True]
+    assert np.isnan(records[1].err_l2) and np.isnan(records[1].err_inf)
+    with pytest.raises(error):
+        run_single(5, GAMMA)
 
 
 def test_sweep_csv_and_plot_emission(tmp_path):

@@ -8,7 +8,6 @@ from atc import (
     ContinuumModel,
     ExternalForce,
     GradedMesh,
-    LennardJones,
     UsageError,
     build_graded_mesh,
     cauchy_born_energy_density,
@@ -134,19 +133,6 @@ def test_atomistic_third_contraction_matches_fd(dec, forces):
     assert np.max(np.abs(T - T.T)) == 0.0
     fd = (model.hessian(u + h * w) - model.hessian(u - h * w)) / (2 * h)
     assert rel_err_inf(T, fd) < 1e-5
-
-
-def test_atomistic_per_site_potential_hook(dec):
-    # a softer interaction on one side shifts the energy of a strained state
-    def site_potential(xi):
-        return LennardJones(well_depth=0.5 if xi < 0 else 1.0)
-
-    hooked = AtomisticModel(dec, site_potential=site_potential)
-    plain = AtomisticModel(dec)
-    u = 0.01 * np.tanh(dec.atomistic_sites / 5.0)
-    assert hooked.energy(u) != plain.energy(u)
-    fd = fd_gradient(hooked.energy, u)
-    assert rel_err_inf(hooked.gradient(u), fd) < 1e-6
 
 
 def test_patch_consistency_uniform_strain(dec):

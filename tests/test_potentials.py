@@ -9,10 +9,8 @@ import pytest
 
 from atc import (
     ConfigurationError,
-    FiniteDifferenceStencil,
     LatticeModel,
     LennardJones,
-    UsageError,
     cauchy_born_d1,
     cauchy_born_d2,
     cauchy_born_d3,
@@ -22,12 +20,9 @@ from atc import (
     phi_d1,
     phi_d2,
     phi_d3,
-    site_energy,
-    site_energy_d3,
-    site_energy_grad,
-    site_energy_hess,
 )
 from atc.potentials import (
+    INTERACTION_RANGE,
     site_energy_array,
     site_gradient_arrays,
     site_hessian_arrays,
@@ -40,15 +35,6 @@ W_001 = 0.0051423629385582829228
 UBAR_1 = 0.059460355750136053336
 # mpmath oracle: phi(1 + g) + phi(2 + 2g) - phi(1) - phi(2), g = 0.1 * 2**-0.75
 V_EXACT_SOL_ORIGIN = 0.094810517324105908882
-
-
-def uniform_stencil(g, model):
-    values = {rho: 0.0 for rho in model.interaction_offsets}
-    values[1] = g
-    values[-1] = -g
-    values[2] = 2 * g
-    values[-2] = -2 * g
-    return FiniteDifferenceStencil(values)
 
 
 def test_phi_reference_values():
@@ -89,47 +75,36 @@ def test_phi_finite_down_to_half(lattice):
 
 
 def test_interaction_range_reference_configuration(lattice):
-    assert lattice.interaction_offsets == (-2, -1, 1, 2)
-    offs = lattice.interaction_offsets
-    assert all(-r in offs for r in offs)
-    assert 0 not in offs
+    # first and second neighbour bonds: the site energy reaches two sites out
+    assert INTERACTION_RANGE == 2
+    assert lattice.energy_shift == phi(1.0) + phi(2.0)
 
 
 def test_lattice_model_validation():
-    with pytest.raises(NotImplementedError):
-        LatticeModel(dimension=2)
     with pytest.raises(ValueError):
         LatticeModel(deformation_gradient=0.0)
-    with pytest.raises(ValueError):
-        LatticeModel(cutoff=0.5)
 
 
 def test_site_energy_zero_stencil(lattice):
-    assert site_energy(FiniteDifferenceStencil.zero(lattice), lattice) == 0.0
+    assert site_energy_array(0.0, 0.0, lattice) == 0.0
 
 
 def test_site_energy_matches_cauchy_born_under_uniform_strain(lattice):
     for g in np.linspace(-0.05, 0.05, 21):
-        st = uniform_stencil(g, lattice)
-        assert abs(site_energy(st, lattice) - cauchy_born_energy_density(g, lattice)) <= 1e-14
+        v = site_energy_array(g, -g, lattice)
+        assert abs(v - cauchy_born_energy_density(g, lattice)) <= 1e-14
 
 
 def test_site_energy_at_exact_solution_origin(lattice):
+    # the stencil at the origin of the odd exact field: d_fwd = g, d_bwd = -g
     g = exact_solution(1.0, 1.5)
     assert abs(g - UBAR_1) < 1e-15
-    st = FiniteDifferenceStencil({1: g, -1: -g, 2: 0.0, -2: 0.0})
-    assert abs(site_energy(st, lattice) - V_EXACT_SOL_ORIGIN) < 1e-15
-
-
-def test_site_energy_stencil_key_validation(lattice):
-    with pytest.raises(UsageError):
-        site_energy({1: 0.0, -1: 0.0}, lattice)
+    assert abs(site_energy_array(g, -g, lattice) - V_EXACT_SOL_ORIGIN) < 1e-15
 
 
 def test_site_energy_collapsed_bond(lattice):
-    st = FiniteDifferenceStencil({1: -0.9, -1: 0.0, 2: 0.0, -2: 0.0})
     with pytest.raises(ConfigurationError):
-        site_energy(st, lattice)
+        site_energy_array(-0.9, 0.0, lattice)
 
 
 def test_site_energy_derivatives_against_fd(lattice):
@@ -158,19 +133,6 @@ def test_site_energy_derivatives_against_fd(lattice):
         fd_fff = (site_hessian_arrays(d_fwd + h, d_bwd, lattice)[0]
                   - site_hessian_arrays(d_fwd - h, d_bwd, lattice)[0]) / (2 * h)
         assert abs(fff - fd_fff) / abs(fd_fff) < 1e-6
-
-
-def test_site_energy_grad_hess_dicts(lattice):
-    st = uniform_stencil(0.01, lattice)
-    g = site_energy_grad(st, lattice)
-    assert set(g) == {-2, -1, 1, 2}
-    assert g[2] == 0.0 and g[-2] == 0.0
-    H = site_energy_hess(st, lattice)
-    assert H[(1, -1)] == H[(-1, 1)]
-    assert H[(2, 2)] == 0.0
-    T = site_energy_d3(st, lattice)
-    assert T[(1, 1, -1)] == T[(1, -1, 1)] == T[(-1, 1, 1)]
-    assert T[(2, 1, 1)] == 0.0
 
 
 def test_cauchy_born_normalization(lattice):
