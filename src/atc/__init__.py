@@ -6,7 +6,6 @@ from .coupling import (
     KktSystem,
     NewtonDiagnostics,
     NewtonOptions,
-    PiecewiseLinear,
     SystemState,
     solve_kkt_linear,
 )
@@ -48,8 +47,6 @@ from .models import (
     manufacture_forces,
 )
 from .potentials import (
-    LatticeModel,
-    LennardJones,
     cauchy_born_d1,
     cauchy_born_d2,
     cauchy_born_d3,

@@ -35,10 +35,17 @@ from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_f
 BLOCK_NAMES = ("u_a", "u_c_minus", "u_c_plus",
                "lam_a", "lam_c_minus", "lam_c_plus", "eta")
 
+# Backtracking line search: each rejected trial halves the step, a trial is
+# accepted when it cuts the residual by the fraction 1e-4 * step, and steps
+# below 1e-12 give up.
+DAMPING_FACTOR = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1e-12
+
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Damped Newton controls.
+    """Damped Newton controls: stop below tolerance or after max_iterations.
 
     Every step uses the full Hessian of the stationarity functional, with
     the adjoint-contracted third-derivative terms in the displacement blocks.
@@ -46,15 +53,12 @@ class NewtonOptions:
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    damping_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
-    min_step: float = 1e-12
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise UsageError("tolerance must be positive")
-        if not 0.0 < self.damping_factor < 1.0:
-            raise UsageError("damping_factor must lie in (0, 1)")
+        if not 0.0 < self.tolerance < np.inf:
+            raise UsageError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.max_iterations < 0:
+            raise UsageError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 class BlockLayout:
@@ -90,46 +94,21 @@ class SystemState:
         if self.vector.shape != (self.layout.total,):
             raise UsageError("state vector length does not match layout")
 
-    def _view(self, name):
-        return self.vector[self.layout[name]]
-
-    @property
-    def u_a(self):
-        return self._view("u_a")
-
-    @property
-    def u_c_minus(self):
-        return self._view("u_c_minus")
-
-    @property
-    def u_c_plus(self):
-        return self._view("u_c_plus")
-
-    @property
-    def lam_a(self):
-        return self._view("lam_a")
-
-    @property
-    def lam_c_minus(self):
-        return self._view("lam_c_minus")
-
-    @property
-    def lam_c_plus(self):
-        return self._view("lam_c_plus")
-
-    @property
-    def eta(self):
-        return self._view("eta")
-
     def copy(self) -> "SystemState":
         return SystemState(self.layout, self.vector.copy())
 
 
+# one view property per block: state.u_a is vector[layout["u_a"]], and so on
+for _name in BLOCK_NAMES:
+    setattr(SystemState, _name,
+            property(lambda self, _name=_name: self.vector[self.layout[_name]]))
+del _name
+
+
 @dataclass
 class KktSystem:
-    """Assembled stationarity gradient and block Hessian."""
+    """Assembled block Hessian of the stationarity functional."""
 
-    gradient: np.ndarray
     matrix: sp.csc_matrix
     layout: BlockLayout
 
@@ -158,21 +137,6 @@ class NewtonDiagnostics:
             step = 0.0 if i == 0 else self.step_lengths[i - 1]
             out.write(f"{i},{r!r},{step!r},{obj!r}\n")
         return out.getvalue()
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function given by nodes and nodal values."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, x):
-        return np.interp(x, self.nodes, self.values)
-
-    @property
-    def element_gradients(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.nodes.astype(float))
 
 
 def solve_kkt_linear(system, rhs, residual_bound: float = 1e-10):
@@ -307,16 +271,6 @@ class CoupledProblem:
 
     # ---------------- coupling quantities ----------------
 
-    def interpolate_atomistic(self, u_a) -> tuple[PiecewiseLinear, PiecewiseLinear]:
-        """Nodal interpolant of the atomistic state on each overlap component."""
-        u_a = np.asarray(u_a, dtype=float)
-        out = []
-        for ov_a, (lo, hi) in zip((self.ov_minus_a, self.ov_plus_a),
-                                  self.dec.overlap_intervals):
-            nodes = np.arange(lo, hi + 1)
-            out.append(PiecewiseLinear(nodes, u_a[ov_a]))
-        return tuple(out)
-
     def _mismatches(self, u_a, full_m, full_p):
         dm = np.diff(u_a[self.ov_minus_a]) - np.diff(full_m[self.ov_minus_c])
         dp = np.diff(u_a[self.ov_plus_a]) - np.diff(full_p[self.ov_plus_c])
@@ -422,7 +376,7 @@ class CoupledProblem:
             [sp.csr_matrix(c_a), sp.csr_matrix(c_m), sp.csr_matrix(c_p),
              None, None, None, None],
         ], format="csc")
-        return KktSystem(self.lagrangian_gradient(state), K, self.layout)
+        return KktSystem(K, self.layout)
 
     # ---------------- solver ----------------
 
@@ -455,17 +409,17 @@ class CoupledProblem:
 
             alpha = 1.0
             accepted = False
-            while alpha >= opts.min_step:
+            while alpha >= MIN_STEP:
                 trial = SystemState(self.layout, state.vector + alpha * step)
                 try:
                     grad_new = self.lagrangian_gradient(trial)
                     res_new = float(np.max(np.abs(grad_new)))
                 except ConfigurationError:
                     res_new = np.inf
-                if res_new <= (1.0 - opts.sufficient_decrease * alpha) * res:
+                if res_new <= (1.0 - SUFFICIENT_DECREASE * alpha) * res:
                     accepted = True
                     break
-                alpha *= opts.damping_factor
+                alpha *= DAMPING_FACTOR
             if not accepted:
                 raise NonConvergenceError(
                     f"line search failed at residual {res:.3e}",

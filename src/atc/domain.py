@@ -11,12 +11,12 @@ degrees of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import IllPosedParametersError, UsageError
-from .potentials import INTERACTION_RANGE, LatticeModel
+from .potentials import INTERACTION_RANGE
 
 
 def _snap(p: float) -> float:
@@ -28,57 +28,59 @@ def _snap(p: float) -> float:
     return p
 
 
-def _radius_exponent(gamma: float, d: int, norm: str) -> float:
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < np.inf:
+        raise UsageError(f"gamma must be finite and positive, got {gamma}")
+
+
+def _radius_exponent(gamma: float, norm: str) -> float:
     if norm == "energy":
-        if 2.0 * gamma - d <= 0.0:
-            raise IllPosedParametersError(
-                f"energy norm requires 2*gamma - d > 0 (gamma={gamma}, d={d})"
-            )
-        return (1.0 + gamma) / (gamma - d / 2.0)
+        if gamma <= 0.5:
+            raise IllPosedParametersError(f"energy norm requires gamma > 1/2, got {gamma}")
+        return (1.0 + gamma) / (gamma - 0.5)
     if norm == "uniform":
         return 1.0 + 1.0 / gamma
     raise UsageError(f"unknown norm {norm!r}, expected 'energy' or 'uniform'")
 
 
-def _grading_exponent(gamma: float, d: int, norm: str) -> float:
+def _grading_exponent(gamma: float, norm: str) -> float:
     if norm == "energy":
-        return (1.0 + gamma) / (1.0 + d / 2.0)
+        return (1.0 + gamma) / 1.5
     if norm == "uniform":
         return 1.0 + gamma
     raise UsageError(f"unknown norm {norm!r}, expected 'energy' or 'uniform'")
 
 
-def optimal_radii(r_core: int, gamma: float, d: int = 1,
-                  norm: str = "energy") -> tuple[int, int]:
+def optimal_radii(r_core: int, gamma: float, norm: str = "energy") -> tuple[int, int]:
     """Atomistic and outer radii balancing the error contributions.
 
     r_a = 2 r_core keeps the overlap width proportional to the core radius,
     and r_c = ceil(r_a ** e) with the norm-dependent exponent e trades the
     domain truncation error against the coarse-mesh error.
     """
-    if gamma <= 0.0:
-        raise UsageError("gamma must be positive")
+    _check_gamma(gamma)
     if r_core < 2 * INTERACTION_RANGE:
         raise UsageError(
             f"r_core={r_core} too small: overlap width r_a - r_core = r_core "
             f"must be at least twice the interaction range, {2 * INTERACTION_RANGE}"
         )
-    e = _radius_exponent(gamma, d, norm)
+    e = _radius_exponent(gamma, norm)
     r_a = 2 * r_core
     r_c = int(np.ceil(_snap(float(r_a) ** e)))
     return r_a, r_c
 
 
-def mesh_size(x, r_a: int, gamma: float, d: int = 1, norm: str = "energy") -> int:
+def mesh_size(x, r_a: int, gamma: float, norm: str = "energy") -> int:
     """Graded element size at position x, an integer >= 1.
 
     Follows the power law (|x|/r_a) ** e floored to the lattice scale; equals
     1 at |x| = r_a so the mesh stays fully refined at the overlap edge.
     """
+    _check_gamma(gamma)
     x = abs(float(x))
     if x < r_a:
         raise UsageError(f"mesh_size defined for |x| >= r_a, got |x|={x} < {r_a}")
-    e = _grading_exponent(gamma, d, norm)
+    e = _grading_exponent(gamma, norm)
     return max(1, int(np.floor(_snap((x / r_a) ** e))))
 
 
@@ -94,7 +96,6 @@ class DomainDecomposition:
     r_core: int
     r_a: int
     r_c: int
-    model: LatticeModel = field(default_factory=LatticeModel)
 
     def __post_init__(self):
         for name in ("r_core", "r_a", "r_c"):
@@ -146,11 +147,10 @@ class DomainDecomposition:
         return self.r_a - self.r_core
 
 
-def make_decomposition(r_core: int, gamma: float, norm: str = "energy",
-                       model: LatticeModel | None = None) -> DomainDecomposition:
+def make_decomposition(r_core: int, gamma: float, norm: str = "energy") -> DomainDecomposition:
     """Decomposition with radii from optimal_radii."""
     r_a, r_c = optimal_radii(r_core, gamma, norm=norm)
-    return DomainDecomposition(r_core, r_a, r_c, model or LatticeModel())
+    return DomainDecomposition(r_core, r_a, r_c)
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,6 @@ class GradedMesh:
         object.__setattr__(self, "nodes", nodes)
         if np.any(np.diff(nodes) <= 0):
             raise UsageError("mesh nodes must be strictly increasing")
-
-    @property
-    def element_sizes(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     def write_nodes(self, path):
         """Plain-text dump, one integer node coordinate per line."""

@@ -86,23 +86,16 @@ def write_plot_data(records, path):
             fh.write(f"{r.dof} {r.err_l2!r}\n")
 
 
-def measure_errors(problem: CoupledProblem, state: SystemState,
-                   include_boundary: bool = True) -> tuple[float, float]:
+def measure_errors(problem: CoupledProblem, state: SystemState) -> tuple[float, float]:
     """Errors of the composite solution against the exact field.
 
-    With include_boundary, fields are compared on the domain padded by one
-    site per end, each extended by its true value there (the composite is
-    zero past the outer boundary; the exact field is evaluated in closed
-    form), so the boundary-crossing differences measure the real
-    discrepancy.  Without it only interior differences count, a sensitivity
-    variant for checking how much the boundary handling contributes.
+    Fields are compared on the domain padded by one site per end, each
+    extended by its true value there (the composite is zero past the outer
+    boundary; the exact field is evaluated in closed form), so the
+    boundary-crossing differences measure the real discrepancy.
     """
-    vals = problem.assemble_atc_solution(state)
-    if include_boundary:
-        vals = np.concatenate(([0.0], vals, [0.0]))
-        xs = np.arange(-problem.dec.r_c - 1, problem.dec.r_c + 2)
-    else:
-        xs = np.arange(-problem.dec.r_c, problem.dec.r_c + 1)
+    vals = np.concatenate(([0.0], problem.assemble_atc_solution(state), [0.0]))
+    xs = np.arange(-problem.dec.r_c - 1, problem.dec.r_c + 2)
     ref = exact_solution(xs, problem.gamma)
     return energy_seminorm_error(vals, ref), max_norm_error(vals, ref)
 

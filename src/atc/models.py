@@ -22,7 +22,6 @@ import numpy as np
 from .domain import DomainDecomposition, GradedMesh
 from .exceptions import UsageError
 from .potentials import (
-    LatticeModel,
     cauchy_born_d1,
     cauchy_born_d2,
     cauchy_born_d3,
@@ -49,7 +48,7 @@ def exact_solution_derivative(x, gamma: float):
     return 0.1 * (1.0 + x * x) ** (-gamma / 2.0 - 1.0) * (1.0 + (1.0 - gamma) * x * x)
 
 
-def force_values(sites, gamma: float, model: LatticeModel | None = None):
+def force_values(sites, gamma: float):
     """External force making exact_solution an equilibrium of the lattice.
 
     Per site this is the gradient of the internal (force-free) infinite
@@ -58,13 +57,12 @@ def force_values(sites, gamma: float, model: LatticeModel | None = None):
     construction: values are computed on |site| and mirrored, which pins the
     oddness of the field down to the last bit.
     """
-    model = model or LatticeModel()
     s = np.abs(np.asarray(sites, dtype=float))
     u = {k: exact_solution(s + k, gamma) for k in (-2, -1, 0, 1, 2)}
     # stencils at xi-1, xi, xi+1
-    vf_m, _ = site_gradient_arrays(u[0] - u[-1], u[-2] - u[-1], model)
-    vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0], model)
-    _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1], model)
+    vf_m, _ = site_gradient_arrays(u[0] - u[-1], u[-2] - u[-1])
+    vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0])
+    _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1])
     return np.sign(sites) * (vf_m - vf_0 + vb_p - vb_0)
 
 
@@ -93,7 +91,7 @@ class ExternalForce:
 
 def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
     """Manufactured force field on every lattice site of the truncated domain."""
-    return ExternalForce(-dec.r_c, force_values(dec.sites, gamma, dec.model))
+    return ExternalForce(-dec.r_c, force_values(dec.sites, gamma))
 
 
 def stencil_gradient(n: int, back, centre, fwd, vf, vb) -> np.ndarray:
@@ -150,7 +148,6 @@ class AtomisticModel:
 
     def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
         self.dec = dec
-        self.model = dec.model
         self.sites = dec.atomistic_sites
         self.n = len(self.sites)
         m = dec.margin
@@ -168,12 +165,12 @@ class AtomisticModel:
 
     def energy(self, u) -> float:
         d_fwd, d_bwd = self._differences(u)
-        v = site_energy_array(d_fwd, d_bwd, self.model)
+        v = site_energy_array(d_fwd, d_bwd)
         return float(np.sum(v) - np.dot(self.force_test, u[self.test_idx]))
 
     def gradient(self, u) -> np.ndarray:
         """Derivative of the energy with respect to every site value."""
-        vf, vb = site_gradient_arrays(*self._differences(u), self.model)
+        vf, vb = site_gradient_arrays(*self._differences(u))
         g = stencil_gradient(self.n, *self._stencil, vf, vb)
         g[self.test_idx] -= self.force_test
         return g
@@ -183,12 +180,12 @@ class AtomisticModel:
         return self.gradient(u)[self.test_idx]
 
     def hessian(self, u) -> np.ndarray:
-        cff, cfb, cbb = site_hessian_arrays(*self._differences(u), self.model)
+        cff, cfb, cbb = site_hessian_arrays(*self._differences(u))
         return _dense(self.n, *stencil_triplets(*self._stencil, cff, cfb, cbb))
 
     def third_contraction(self, u, weights) -> np.ndarray:
         """Third derivative tensor contracted once with a full-length vector."""
-        fff, ffb, fbb, bbb = site_third_arrays(*self._differences(u), self.model)
+        fff, ffb, fbb, bbb = site_third_arrays(*self._differences(u))
         sf, sb = self._differences(weights)
         cff = fff * sf + ffb * sb
         cfb = ffb * sf + fbb * sb
@@ -205,11 +202,9 @@ class ContinuumSide:
     pinned entry.
     """
 
-    def __init__(self, nodes: np.ndarray, outer_first: bool,
-                 model: LatticeModel, force: ExternalForce | None):
+    def __init__(self, nodes: np.ndarray, outer_first: bool, force: ExternalForce | None):
         self.nodes = np.asarray(nodes, dtype=int)
         self.outer_first = outer_first
-        self.model = model
         self.x = self.nodes.astype(float)
         self.h = np.diff(self.x)
         if np.any(self.h <= 0):
@@ -265,11 +260,11 @@ class ContinuumSide:
         return np.diff(u_full) / self.h
 
     def energy(self, u_full) -> float:
-        w = cauchy_born_energy_density(self.strains(u_full), self.model)
+        w = cauchy_born_energy_density(self.strains(u_full))
         return float(np.dot(self.h, w) - np.dot(self.load, u_full))
 
     def gradient(self, u_full) -> np.ndarray:
-        s1 = cauchy_born_d1(self.strains(u_full), self.model)
+        s1 = cauchy_born_d1(self.strains(u_full))
         return stencil_gradient(self.n, *self._stencil, s1, self._zero) - self.load
 
     def _element_matrix(self, coef) -> np.ndarray:
@@ -277,11 +272,11 @@ class ContinuumSide:
                                                 self._zero, self._zero))
 
     def hessian(self, u_full) -> np.ndarray:
-        coef = cauchy_born_d2(self.strains(u_full), self.model) / self.h
+        coef = cauchy_born_d2(self.strains(u_full)) / self.h
         return self._element_matrix(coef)
 
     def third_contraction(self, u_full, weights_full) -> np.ndarray:
-        coef = (cauchy_born_d3(self.strains(u_full), self.model)
+        coef = (cauchy_born_d3(self.strains(u_full))
                 * np.diff(weights_full) / self.h**2)
         return self._element_matrix(coef)
 
@@ -300,14 +295,8 @@ class ContinuumModel:
         if not np.array_equal(plus_nodes[: len(expected)], expected):
             raise UsageError("mesh is not fully refined on the overlap region")
         self.dec = dec
-        self.minus = ContinuumSide(minus_nodes, outer_first=True,
-                                   model=dec.model, force=force)
-        self.plus = ContinuumSide(plus_nodes, outer_first=False,
-                                  model=dec.model, force=force)
-
-    @property
-    def sides(self) -> tuple[ContinuumSide, ContinuumSide]:
-        return (self.minus, self.plus)
+        self.minus = ContinuumSide(minus_nodes, outer_first=True, force=force)
+        self.plus = ContinuumSide(plus_nodes, outer_first=False, force=force)
 
     def energy(self, u_minus_free, u_plus_free) -> float:
         return (self.minus.energy(self.minus.embed(u_minus_free))

@@ -39,19 +39,19 @@ class ReferenceSolution:
 
 
 def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
-                         tolerance: float = 1e-10, max_iterations: int = 50,
                          force=None) -> ReferenceSolution:
     """Newton minimization of the truncated full-lattice problem.
 
     All sites of the domain are unknowns; the displacement is zero outside,
     so site energies whose stencils cross the boundary see the zero
     extension.  The manufactured forces are applied unless an explicit force
-    field is given.
+    field is given.  Newton stops once the inf-norm residual is below 1e-10
+    and gives up after 50 iterations; these controls are the oracle's own,
+    independent of NewtonOptions.
     """
-    model = dec.model
     sites = dec.sites
     n = len(sites)
-    forces = force.at(sites) if force is not None else force_values(sites, gamma, model)
+    forces = force.at(sites) if force is not None else force_values(sites, gamma)
     # site-energy sum runs over every site whose stencil touches the domain
     pad = 2
 
@@ -66,11 +66,11 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
         return ue[idx + 1] - ue[idx], ue[idx - 1] - ue[idx]
 
     def residual_vec(u):
-        vf, vb = site_gradient_arrays(*differences(u), model)
+        vf, vb = site_gradient_arrays(*differences(u))
         return stencil_gradient(n + 2 * pad, *stencil, vf, vb)[pad:-pad] - forces
 
     def hessian(u):
-        cff, cfb, cbb = site_hessian_arrays(*differences(u), model)
+        cff, cfb, cbb = site_hessian_arrays(*differences(u))
         rows, cols, vals = stencil_triplets(*stencil, cff, cfb, cbb)
         H = sp.coo_matrix((vals, (rows, cols)),
                           shape=(n + 2 * pad, n + 2 * pad)).tocsc()
@@ -78,13 +78,13 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
 
     u = np.zeros(n)
     res_hist = []
-    for it in range(max_iterations + 1):
+    for it in range(51):
         g = residual_vec(u)
         res = float(np.max(np.abs(g)))
         res_hist.append(res)
-        if res < tolerance:
+        if res < 1e-10:
             return ReferenceSolution(sites, u, res, it)
-        if it == max_iterations:
+        if it == 50:
             break
         step = spla.splu(hessian(u).tocsc()).solve(-g)
         alpha = 1.0
@@ -151,13 +151,9 @@ def truncation_tail_sq(gamma: float, r_c: int) -> float:
     return partial(r_c + 1) + partial(r_c)
 
 
-def coarsening_term_sq(gamma: float, dec: DomainDecomposition, mesh: GradedMesh,
-                       curvature: str = "exact") -> float:
+def coarsening_term_sq(gamma: float, dec: DomainDecomposition, mesh: GradedMesh) -> float:
     """Squared coarse-mesh term: sum of (h * second difference)^2 over the
-    continuum lattice sites.
-
-    curvature 'exact' uses second differences of the closed-form field;
-    'asymptotic' uses the power-law magnitude they decay with.
+    continuum lattice sites, with second differences of the closed-form field.
     """
     nodes = mesh.nodes.astype(float)
     total = 0.0
@@ -166,19 +162,13 @@ def coarsening_term_sq(gamma: float, dec: DomainDecomposition, mesh: GradedMesh,
         elem = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
                        0, len(nodes) - 2)
         h = nodes[elem + 1] - nodes[elem]
-        if curvature == "exact":
-            d2 = (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
-                  + exact_solution(xs - 1, gamma))
-        elif curvature == "asymptotic":
-            d2 = 0.1 * abs(gamma * (1.0 - gamma)) * np.abs(xs) ** (-1.0 - gamma)
-        else:
-            raise UsageError("curvature must be 'exact' or 'asymptotic'")
+        d2 = (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
+              + exact_solution(xs - 1, gamma))
         total += float(np.dot(h * d2, h * d2))
     return total
 
 
-def conjectured_bound(gamma: float, dec: DomainDecomposition, mesh: GradedMesh,
-                      curvature: str = "exact") -> float:
+def conjectured_bound(gamma: float, dec: DomainDecomposition, mesh: GradedMesh) -> float:
     """Computable error-bound diagnostic (up to an unknown constant).
 
     Root of the sum of the domain truncation tail and the coarse-mesh
@@ -186,4 +176,4 @@ def conjectured_bound(gamma: float, dec: DomainDecomposition, mesh: GradedMesh,
     with its predicted sources.
     """
     return float(np.sqrt(truncation_tail_sq(gamma, dec.r_c)
-                         + coarsening_term_sq(gamma, dec, mesh, curvature)))
+                         + coarsening_term_sq(gamma, dec, mesh)))

@@ -3,7 +3,6 @@ import pytest
 
 from atc import (
     CoupledProblem,
-    LatticeModel,
     build_graded_mesh,
     make_decomposition,
     run_sweep,
@@ -11,11 +10,6 @@ from atc import (
 
 GAMMA = 1.5
 SWEEP_R_CORES = [10, 20, 40, 80, 160]
-
-
-@pytest.fixture(scope="session")
-def lattice():
-    return LatticeModel()
 
 
 @pytest.fixture(scope="session")

@@ -156,8 +156,8 @@ def test_criterion_8_cauchy_born_consistency():
 
 
 def test_criterion_9_mesh_parameter_formulas():
-    ok = (optimal_radii(10, 1.5, d=1, norm="energy") == (20, 1789)
-          and optimal_radii(10, 1.5, d=1, norm="uniform") == (20, 148)
+    ok = (optimal_radii(10, 1.5, norm="energy") == (20, 1789)
+          and optimal_radii(10, 1.5, norm="uniform") == (20, 148)
           and mesh_size(20, 20, 1.5) == 1
           and mesh_size(40, 20, 1.5) == 3
           and mesh_size(100, 20, 1.5) == 14)

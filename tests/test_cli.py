@@ -47,6 +47,23 @@ def test_run_hessian_and_tol_flags(capsys):
     assert "converged=true" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_run_non_finite_tol_is_usage_error(tol, capsys):
+    # a NaN or infinite tolerance would stop Newton before the first step
+    code, out, err = run_cli(["run", "--r-core", "10", "--gamma", "1.5",
+                              "--tol", tol], capsys)
+    assert code == 2
+    assert "tolerance" in err and "converged" not in out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_is_usage_error(command, gamma, capsys):
+    code, _, err = run_cli([command, "--r-core", "10", "--gamma", gamma], capsys)
+    assert code == 2
+    assert "gamma" in err
+
+
 def test_run_uniform_norm(capsys):
     code, out, _ = run_cli(["run", "--r-core", "4", "--gamma", "1.5",
                             "--norm", "uniform"], capsys)

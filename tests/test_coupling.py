@@ -5,18 +5,30 @@ import pytest
 import scipy.sparse as sp
 
 from atc import (
+    CoupledProblem,
     KktSolverError,
     NewtonOptions,
     NonConvergenceError,
     SystemState,
     UsageError,
+    build_graded_mesh,
     exact_solution,
+    make_decomposition,
+    measure_errors,
     solve_kkt_linear,
 )
 from conftest import GAMMA, fd_gradient, random_state, rel_err_inf
 
 # frozen run record: damped Newton from the zero state, r_core=10, gamma=1.5
 NEWTON_ITERS_10 = 6
+
+# (gamma, r_core) -> (err_l2, Newton iterations) of a cold solve; err_l2 as
+# recorded in perfbench/reference_err_l2.json from commit 194d7b9
+RECORDED_COLD_SOLVES = {
+    (3.0, 20): (4.24686320062103e-07, 5),
+    (3.0, 40): (3.128101997617355e-08, 5),
+    (1.5, 10): (0.00010677655145086248, 6),
+}
 
 ZERO_BLOCK_PAIRS = [
     ("lam_a", "lam_a"), ("lam_a", "lam_c_minus"), ("lam_a", "lam_c_plus"),
@@ -28,35 +40,6 @@ ZERO_BLOCK_PAIRS = [
     ("u_c_minus", "lam_c_plus"), ("u_c_plus", "lam_c_minus"),
     ("u_c_minus", "u_c_plus"),
 ]
-
-
-def test_interpolate_atomistic_constant(small_problem):
-    u = np.full(small_problem.atomistic.n, 0.7)
-    minus, plus = small_problem.interpolate_atomistic(u)
-    for part in (minus, plus):
-        assert np.all(part.element_gradients == 0.0)
-        assert part(part.nodes[0] + 0.3) == 0.7
-
-
-def test_interpolate_atomistic_linear_reproduction(small_problem):
-    g = 0.013
-    u = g * small_problem.dec.atomistic_sites.astype(float)
-    for part in small_problem.interpolate_atomistic(u):
-        np.testing.assert_allclose(part.element_gradients, g, rtol=1e-13)
-
-
-def test_interpolate_atomistic_nodal_values(small_problem):
-    rng = np.random.default_rng(12)
-    u = rng.uniform(-0.05, 0.05, small_problem.atomistic.n)
-    dec = small_problem.dec
-    minus, plus = small_problem.interpolate_atomistic(u)
-    for part, (lo, hi) in zip((minus, plus), dec.overlap_intervals):
-        for xi in range(lo, hi + 1):
-            assert part(xi) == u[xi + dec.r_a]
-    # gradient on [xi, xi+1] equals the forward difference there
-    np.testing.assert_allclose(
-        plus.element_gradients,
-        np.diff(u[dec.r_core + dec.r_a: 2 * dec.r_a + 1]), rtol=0, atol=0)
 
 
 def test_objective_zero_when_gradients_match(small_problem):
@@ -329,10 +312,24 @@ def test_newton_iteration_budget(small_problem):
 
 
 def test_newton_options_validation():
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(UsageError):
+            NewtonOptions(tolerance=tol)
     with pytest.raises(UsageError):
-        NewtonOptions(tolerance=0.0)
-    with pytest.raises(UsageError):
-        NewtonOptions(damping_factor=1.0)
+        NewtonOptions(max_iterations=-1)
+    assert NewtonOptions(max_iterations=0).max_iterations == 0
+
+
+@pytest.mark.parametrize("gamma,r_core", sorted(RECORDED_COLD_SOLVES))
+def test_cold_solve_reproduces_recorded_numerics(gamma, r_core):
+    # guards the floating-point path of the coupled solve: a refactor that
+    # reorders any operation moves err_l2 away from the recorded value
+    err_l2, iters = RECORDED_COLD_SOLVES[gamma, r_core]
+    dec = make_decomposition(r_core, gamma)
+    problem = CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma)
+    state, diag = problem.newton_solve()
+    assert diag.iterations == iters
+    assert measure_errors(problem, state)[0] == pytest.approx(err_l2, rel=1e-12, abs=0.0)
 
 
 def test_diagnostics_csv_format(solved_10):

@@ -12,7 +12,6 @@ from atc import (
     DomainDecomposition,
     GradedMesh,
     IllPosedParametersError,
-    LatticeModel,
     UsageError,
     build_graded_mesh,
     count_dof,
@@ -61,16 +60,25 @@ def replay_nodes(r_a, r_c, gamma, norm="energy"):
 
 
 def test_optimal_radii_energy_norm():
-    assert optimal_radii(10, 1.5, d=1, norm="energy") == (20, 1789)
+    assert optimal_radii(10, 1.5, norm="energy") == (20, 1789)
 
 
 def test_optimal_radii_uniform_norm():
-    assert optimal_radii(10, 1.5, d=1, norm="uniform") == (20, 148)
+    assert optimal_radii(10, 1.5, norm="uniform") == (20, 148)
 
 
 def test_optimal_radii_ill_posed():
     with pytest.raises(IllPosedParametersError):
-        optimal_radii(10, 0.5, d=1, norm="energy")
+        optimal_radii(10, 0.5, norm="energy")
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.5, float("nan"), float("inf")])
+def test_radii_and_mesh_size_reject_bad_gamma(gamma):
+    for norm in ("energy", "uniform"):
+        with pytest.raises(UsageError):
+            optimal_radii(10, gamma, norm=norm)
+        with pytest.raises(UsageError):
+            mesh_size(40, 20, gamma, norm=norm)
 
 
 def test_optimal_radii_rejects_small_core():
@@ -87,17 +95,17 @@ def test_optimal_radii_exact_integer_power():
 
 @pytest.mark.parametrize("x,expected", [(20, 1), (40, 3), (100, 14)])
 def test_mesh_size_energy_instances(x, expected):
-    assert mesh_size(x, 20, 1.5, d=1, norm="energy") == expected
+    assert mesh_size(x, 20, 1.5, norm="energy") == expected
 
 
 def test_mesh_size_exact_cube_power():
     # (160/20)**(5/3) = 32 exactly
-    assert mesh_size(160, 20, 1.5, d=1, norm="energy") == 32
+    assert mesh_size(160, 20, 1.5, norm="energy") == 32
 
 
 def test_mesh_size_uniform_norm():
-    assert mesh_size(20, 20, 1.5, d=1, norm="uniform") == 1
-    assert mesh_size(40, 20, 1.5, d=1, norm="uniform") == int(2**2.5)
+    assert mesh_size(20, 20, 1.5, norm="uniform") == 1
+    assert mesh_size(40, 20, 1.5, norm="uniform") == int(2**2.5)
 
 
 def test_mesh_size_requires_coarse_region():
@@ -122,12 +130,6 @@ def test_decomposition_invariants():
     assert dec.overlap_intervals == ((-20, -10), (10, 20))
     # core region sits strictly inside the twice-interior set
     assert dec.r_core <= dec.equilibrium_sites.max()
-
-
-def test_margin_is_the_site_energy_range():
-    # the site energy sees two neighbours whatever the lattice spacing
-    dec = make_decomposition(10, 1.5, model=LatticeModel(deformation_gradient=0.6))
-    assert dec.margin == 2
 
 
 def test_decomposition_validation():

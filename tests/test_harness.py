@@ -165,18 +165,6 @@ def test_sweep_csv_and_plot_emission(tmp_path):
     assert float(err) == records[0].err_l2
 
 
-def test_measure_errors_boundary_sensitivity(problem_10, solved_10):
-    from atc import measure_errors
-
-    state, _ = solved_10
-    with_b = measure_errors(problem_10, state, include_boundary=True)
-    without = measure_errors(problem_10, state, include_boundary=False)
-    # boundary differences only add error, and at this domain size they sit
-    # well below the interior error
-    assert with_b[0] >= without[0]
-    assert (with_b[0] - without[0]) / with_b[0] < 0.01
-
-
 def test_write_plot_data_round_trips_error_bits(tmp_path):
     records = [fake_record(100, 1.0 / 3.0)]
     path = tmp_path / "x.dat"

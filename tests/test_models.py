@@ -62,7 +62,7 @@ def test_forces_decay(forces):
     assert far < near
 
 
-def test_forces_match_fd_of_infinite_lattice_energy(lattice):
+def test_forces_match_fd_of_infinite_lattice_energy():
     # the force equals the derivative of the site-energy sum of the exact
     # field with respect to the center displacement (only three site
     # energies touch it)
@@ -76,12 +76,12 @@ def test_forces_match_fd_of_infinite_lattice_energy(lattice):
             u[2] = u_center
             total = 0.0
             for k in (1, 2, 3):
-                total += float(site_energy_array(u[k + 1] - u[k], u[k - 1] - u[k], lattice))
+                total += float(site_energy_array(u[k + 1] - u[k], u[k - 1] - u[k]))
             return total
 
         u0 = float(exact_solution(site, GAMMA))
         fd = (local_energy(u0 + h) - local_energy(u0 - h)) / (2 * h)
-        assert abs(fd - force_values([site], GAMMA, lattice)[0]) < 1e-8
+        assert abs(fd - force_values([site], GAMMA)[0]) < 1e-8
 
 
 def test_external_force_range_check(dec, forces):

@@ -9,8 +9,6 @@ import pytest
 
 from atc import (
     ConfigurationError,
-    LatticeModel,
-    LennardJones,
     cauchy_born_d1,
     cauchy_born_d2,
     cauchy_born_d3,
@@ -22,6 +20,7 @@ from atc import (
     phi_d3,
 )
 from atc.potentials import (
+    ENERGY_SHIFT,
     INTERACTION_RANGE,
     site_energy_array,
     site_gradient_arrays,
@@ -54,12 +53,6 @@ def test_phi_rejects_bad_arguments():
         phi_d2(np.array([1.0, -0.5]))
 
 
-def test_phi_minimum_location():
-    lj = LennardJones(well_depth=2.5, equilibrium_distance=1.3)
-    assert abs(lj.phi_d1(1.3)) < 1e-14
-    assert np.isclose(lj.phi(1.3), -2.5, rtol=0, atol=1e-14)
-
-
 @pytest.mark.parametrize("fn,dfn", [(phi, phi_d1), (phi_d1, phi_d2), (phi_d2, phi_d3)])
 def test_phi_derivative_chain(fn, dfn):
     rng = np.random.default_rng(0)
@@ -69,106 +62,101 @@ def test_phi_derivative_chain(fn, dfn):
     assert np.max(np.abs(dfn(r) - fd) / np.abs(fd)) < 1e-6
 
 
-def test_phi_finite_down_to_half(lattice):
+def test_phi_finite_down_to_half():
     for f in (phi, phi_d1, phi_d2, phi_d3):
         assert np.all(np.isfinite(f(np.linspace(0.5, 3.0, 50))))
 
 
-def test_interaction_range_reference_configuration(lattice):
+def test_interaction_range_reference_configuration():
     # first and second neighbour bonds: the site energy reaches two sites out
     assert INTERACTION_RANGE == 2
-    assert lattice.energy_shift == phi(1.0) + phi(2.0)
+    assert ENERGY_SHIFT == phi(1.0) + phi(2.0)
 
 
-def test_lattice_model_validation():
-    with pytest.raises(ValueError):
-        LatticeModel(deformation_gradient=0.0)
+def test_site_energy_zero_stencil():
+    assert site_energy_array(0.0, 0.0) == 0.0
 
 
-def test_site_energy_zero_stencil(lattice):
-    assert site_energy_array(0.0, 0.0, lattice) == 0.0
-
-
-def test_site_energy_matches_cauchy_born_under_uniform_strain(lattice):
+def test_site_energy_matches_cauchy_born_under_uniform_strain():
     for g in np.linspace(-0.05, 0.05, 21):
-        v = site_energy_array(g, -g, lattice)
-        assert abs(v - cauchy_born_energy_density(g, lattice)) <= 1e-14
+        v = site_energy_array(g, -g)
+        assert abs(v - cauchy_born_energy_density(g)) <= 1e-14
 
 
-def test_site_energy_at_exact_solution_origin(lattice):
+def test_site_energy_at_exact_solution_origin():
     # the stencil at the origin of the odd exact field: d_fwd = g, d_bwd = -g
     g = exact_solution(1.0, 1.5)
     assert abs(g - UBAR_1) < 1e-15
-    assert abs(site_energy_array(g, -g, lattice) - V_EXACT_SOL_ORIGIN) < 1e-15
+    assert abs(site_energy_array(g, -g) - V_EXACT_SOL_ORIGIN) < 1e-15
 
 
-def test_site_energy_collapsed_bond(lattice):
+def test_site_energy_collapsed_bond():
     with pytest.raises(ConfigurationError):
-        site_energy_array(-0.9, 0.0, lattice)
+        site_energy_array(-0.9, 0.0)
 
 
-def test_site_energy_derivatives_against_fd(lattice):
+def test_site_energy_derivatives_against_fd():
     rng = np.random.default_rng(1)
     h = 1e-6
     for _ in range(100):
         d_fwd, d_bwd = rng.uniform(-0.1, 0.1, 2)
-        vf, vb = site_gradient_arrays(d_fwd, d_bwd, lattice)
-        fd_f = (site_energy_array(d_fwd + h, d_bwd, lattice)
-                - site_energy_array(d_fwd - h, d_bwd, lattice)) / (2 * h)
-        fd_b = (site_energy_array(d_fwd, d_bwd + h, lattice)
-                - site_energy_array(d_fwd, d_bwd - h, lattice)) / (2 * h)
+        vf, vb = site_gradient_arrays(d_fwd, d_bwd)
+        fd_f = (site_energy_array(d_fwd + h, d_bwd)
+                - site_energy_array(d_fwd - h, d_bwd)) / (2 * h)
+        fd_b = (site_energy_array(d_fwd, d_bwd + h)
+                - site_energy_array(d_fwd, d_bwd - h)) / (2 * h)
         assert abs(vf - fd_f) / max(abs(fd_f), 1e-10) < 1e-6
         assert abs(vb - fd_b) / max(abs(fd_b), 1e-10) < 1e-6
-        ff, fb, bb = site_hessian_arrays(d_fwd, d_bwd, lattice)
-        fd_ff = (site_gradient_arrays(d_fwd + h, d_bwd, lattice)[0]
-                 - site_gradient_arrays(d_fwd - h, d_bwd, lattice)[0]) / (2 * h)
-        fd_fb = (site_gradient_arrays(d_fwd, d_bwd + h, lattice)[0]
-                 - site_gradient_arrays(d_fwd, d_bwd - h, lattice)[0]) / (2 * h)
-        fd_bb = (site_gradient_arrays(d_fwd, d_bwd + h, lattice)[1]
-                 - site_gradient_arrays(d_fwd, d_bwd - h, lattice)[1]) / (2 * h)
+        ff, fb, bb = site_hessian_arrays(d_fwd, d_bwd)
+        fd_ff = (site_gradient_arrays(d_fwd + h, d_bwd)[0]
+                 - site_gradient_arrays(d_fwd - h, d_bwd)[0]) / (2 * h)
+        fd_fb = (site_gradient_arrays(d_fwd, d_bwd + h)[0]
+                 - site_gradient_arrays(d_fwd, d_bwd - h)[0]) / (2 * h)
+        fd_bb = (site_gradient_arrays(d_fwd, d_bwd + h)[1]
+                 - site_gradient_arrays(d_fwd, d_bwd - h)[1]) / (2 * h)
         assert abs(ff - fd_ff) / abs(fd_ff) < 1e-6
         assert abs(fb - fd_fb) / abs(fd_fb) < 1e-6
         assert abs(bb - fd_bb) / abs(fd_bb) < 1e-6
-        fff, ffb, fbb, bbb = site_third_arrays(d_fwd, d_bwd, lattice)
-        fd_fff = (site_hessian_arrays(d_fwd + h, d_bwd, lattice)[0]
-                  - site_hessian_arrays(d_fwd - h, d_bwd, lattice)[0]) / (2 * h)
+        fff, ffb, fbb, bbb = site_third_arrays(d_fwd, d_bwd)
+        fd_fff = (site_hessian_arrays(d_fwd + h, d_bwd)[0]
+                  - site_hessian_arrays(d_fwd - h, d_bwd)[0]) / (2 * h)
         assert abs(fff - fd_fff) / abs(fd_fff) < 1e-6
 
 
-def test_cauchy_born_normalization(lattice):
-    assert cauchy_born_energy_density(0.0, lattice) == 0.0
+def test_cauchy_born_normalization():
+    assert cauchy_born_energy_density(0.0) == 0.0
 
 
-def test_cauchy_born_slope_at_zero_strain(lattice):
+def test_cauchy_born_slope_at_zero_strain():
     # the second-neighbor bond carries stress in the reference state, so the
     # density has a nonzero slope at zero strain: phi'(1) + 2 phi'(2)
     h = 1e-7
-    fd = (cauchy_born_energy_density(h, lattice)
-          - cauchy_born_energy_density(-h, lattice)) / (2 * h)
-    d1 = cauchy_born_d1(0.0, lattice)
+    fd = (cauchy_born_energy_density(h)
+          - cauchy_born_energy_density(-h)) / (2 * h)
+    d1 = cauchy_born_d1(0.0)
     assert abs(d1 - fd) / abs(fd) < 1e-6
     assert d1 == phi_d1(1.0) + 2.0 * phi_d1(2.0)  # exact dyadic 0.1845703125
     assert d1 == 0.1845703125
 
 
-def test_cauchy_born_value_at_001(lattice):
-    assert abs(cauchy_born_energy_density(0.01, lattice) - W_001) < 1e-16
+def test_cauchy_born_value_at_001():
+    assert abs(cauchy_born_energy_density(0.01) - W_001) < 1e-16
 
 
-def test_cauchy_born_derivative_chain(lattice):
+def test_cauchy_born_derivative_chain():
     rng = np.random.default_rng(2)
     g = rng.uniform(-0.1, 0.1, 100)
     h = 1e-6
     for fn, dfn in ((cauchy_born_energy_density, cauchy_born_d1),
                     (cauchy_born_d1, cauchy_born_d2),
                     (cauchy_born_d2, cauchy_born_d3)):
-        fd = (fn(g + h, lattice) - fn(g - h, lattice)) / (2 * h)
-        assert np.max(np.abs(dfn(g, lattice) - fd) / np.abs(fd)) < 1e-6
+        fd = (fn(g + h) - fn(g - h)) / (2 * h)
+        assert np.max(np.abs(dfn(g) - fd) / np.abs(fd)) < 1e-6
 
 
-def test_cauchy_born_collapsed_strain(lattice):
+def test_cauchy_born_collapsed_strain():
     with pytest.raises(ConfigurationError):
-        cauchy_born_energy_density(-0.7, lattice)
+        cauchy_born_energy_density(-0.7)
 
 
 def test_frozen_constants_against_mpmath_oracle():
