@@ -15,9 +15,22 @@ from . import harness
 from .coupling import NewtonOptions
 from .exceptions import AtcError, NonConvergenceError, UsageError
 
+
+def _r_cores_text(text: str) -> str:
+    """A comma-separated list of integer core radii, checked and kept as text."""
+    _parse_r_cores(text)
+    return text
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 _CONFIG_KEYS = {
-    "r-core": str, "gamma": float, "norm": str, "tol": float,
-    "out": str, "plot-data": str, "warm-start": lambda s: s.lower() == "true",
+    "r-core": _r_cores_text, "gamma": float, "norm": str, "tol": float,
+    "out": str, "plot-data": str, "warm-start": _true_or_false,
 }
 
 
@@ -35,7 +48,10 @@ def _read_config(path) -> dict:
                 key = key.strip().replace("_", "-")
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _CONFIG_KEYS[key](val.strip())
+                try:
+                    values[key] = _CONFIG_KEYS[key](val.strip())
+                except ValueError as err:
+                    raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
     except OSError as err:
         raise UsageError(f"cannot read config file: {err}") from err
     return values
@@ -71,8 +87,11 @@ def _parse_r_cores(text) -> list[int]:
 
 def _cmd_run(args) -> int:
     merged = _merged(args, args.config)
+    r_cores = _parse_r_cores(_require(merged, "r-core"))
+    if len(r_cores) != 1:
+        raise UsageError(f"run takes one core radius, got {merged['r-core']!r}")
     record = harness.run_single(
-        int(_require(merged, "r-core")), float(_require(merged, "gamma")),
+        r_cores[0], float(_require(merged, "gamma")),
         norm=merged.get("norm", "energy"), options=_options(merged))
     print(f"r_core={record.r_core} r_a={record.r_a} r_c={record.r_c} "
           f"dof={record.dof} err_l2={record.err_l2:.6e} err_inf={record.err_inf:.6e} "

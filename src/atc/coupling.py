@@ -15,8 +15,10 @@ indefinite saddle-point system
     [ B   0  ]
 
 where A carries second derivatives with respect to the two displacement
-states (including the adjoint-contracted third derivatives of the subproblem
-energies) and B the constraint linearizations.
+states (the objective's constant Hessian plus the adjoint-contracted third
+derivatives of the subproblem energies) and B the constraint linearizations.
+The matrix is assembled sparse from the model stencils, with the constant
+blocks built once per problem; only the gradient keeps dense products.
 """
 
 from __future__ import annotations
@@ -161,8 +163,7 @@ def solve_kkt_linear(system, rhs, residual_bound: float = 1e-10):
     try:
         lu = spla.splu(scaled.tocsc())
     except RuntimeError as err:
-        raise KktSolverError(f"sparse factorization failed: {err}",
-                             condition_estimate=_condition_estimate(matrix)) from err
+        raise KktSolverError(f"sparse factorization failed: {err}") from err
     x = d * lu.solve(d * rhs)
     rel = np.max(np.abs(matrix @ x - rhs)) / rhs_norm
     for _ in range(3):
@@ -177,20 +178,16 @@ def solve_kkt_linear(system, rhs, residual_bound: float = 1e-10):
     return x, rel
 
 
-def _condition_estimate(matrix, lu=None, scale=None):
-    """One-norm condition estimate; cheap but adequate for diagnostics."""
+def _condition_estimate(matrix, lu, scale):
+    """One-norm condition estimate from the LU; cheap but adequate for diagnostics."""
     try:
-        norm_a = spla.onenormest(matrix)
-        if lu is None:
-            return None if matrix.shape[0] > 5000 else float(
-                np.linalg.cond(matrix.toarray(), 1))
         n = matrix.shape[0]
         inv_op = spla.LinearOperator(
             (n, n),
             matvec=lambda v: scale * lu.solve(scale * v),
             rmatvec=lambda v: scale * lu.solve(scale * v, trans="T"),
         )
-        return float(norm_a * spla.onenormest(inv_op))
+        return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
     except Exception:
         return None
 
@@ -229,36 +226,42 @@ class CoupledProblem:
         trapz[0] = trapz[-1] = 0.5
         self.trapz = trapz
 
-        # the mismatch objective is quadratic; assemble its blocks once
+        # Overlap element k of a side spans nodes a[:, k] of u_a and c[:, k]
+        # of the side's full nodal vector; its strain mismatch is
+        # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
+        # Hessian J sums the outer products of those coefficients.  J and the
+        # mean-zero rows C are held dense for the gradient and sparse, in the
+        # coordinates of the displacement unknowns, for the KKT matrix.
+        sign = np.array([-1.0, 1.0, 1.0, -1.0])
+        coef = np.outer(sign, sign)[:, :, None]
         self._j_aa = np.zeros((na, na))
         self._j_cc = [np.zeros((minus.n, minus.n)), np.zeros((plus.n, plus.n))]
         self._j_ac = [np.zeros((na, minus.n)), np.zeros((na, plus.n))]
-        for side, (ov_a, ov_c) in enumerate(((self.ov_minus_a, self.ov_minus_c),
-                                             (self.ov_plus_a, self.ov_plus_c))):
-            la, ra = ov_a[:-1], ov_a[1:]
-            lc, rc = ov_c[:-1], ov_c[1:]
-            ones = np.ones(w)
-            for (big, i, j, s) in ((self._j_aa, la, la, 1.0), (self._j_aa, ra, ra, 1.0),
-                                   (self._j_aa, la, ra, -1.0), (self._j_aa, ra, la, -1.0)):
-                np.add.at(big, (i, j), s * ones)
-            jcc = self._j_cc[side]
-            np.add.at(jcc, (lc, lc), ones)
-            np.add.at(jcc, (rc, rc), ones)
-            np.add.at(jcc, (lc, rc), -ones)
-            np.add.at(jcc, (rc, lc), -ones)
-            jac = self._j_ac[side]
-            np.add.at(jac, (la, lc), -ones)
-            np.add.at(jac, (ra, rc), -ones)
-            np.add.at(jac, (la, rc), ones)
-            np.add.at(jac, (ra, lc), ones)
-
         # mean-zero constraint gradients (rows: positive component, negative)
         self._c_a = np.zeros((2, na))
-        self._c_a[0, self.ov_plus_a] = trapz
-        self._c_a[1, self.ov_minus_a] = trapz
         self._c_c = [np.zeros((2, minus.n)), np.zeros((2, plus.n))]
-        self._c_c[0][1, self.ov_minus_c] = -trapz
-        self._c_c[1][0, self.ov_plus_c] = -trapz
+        rows, cols, vals = [], [], []
+        for side, (ov_a, ov_c, row, block, cont) in enumerate((
+                (self.ov_minus_a, self.ov_minus_c, 1, "u_c_minus", minus),
+                (self.ov_plus_a, self.ov_plus_c, 0, "u_c_plus", plus))):
+            a = np.array((ov_a[:-1], ov_a[1:]))
+            c = np.array((ov_c[:-1], ov_c[1:]))
+            np.add.at(self._j_aa, (a[:, None], a[None]), coef[:2, :2])
+            np.add.at(self._j_ac[side], (a[:, None], c[None]), coef[:2, 2:])
+            np.add.at(self._j_cc[side], (c[:, None], c[None]), coef[2:, 2:])
+            self._c_a[row, ov_a] = trapz
+            self._c_c[side][row, ov_c] = -trapz
+            # u_a comes first among the unknowns, then each side's free nodes
+            q = np.concatenate((a, c + self.layout[block].start - cont.free_slice.start))
+            rows.append(np.repeat(q, 4, axis=0))
+            cols.append(np.tile(q, (4, 1)))
+            vals.append(np.repeat(coef, w, axis=2))
+        n_u = self.layout["lam_a"].start
+        rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
+        # J's entries are sums of +-1, exact in any order, so scipy may sum them
+        self._j_uu = sp.csr_matrix((vals, (rows, cols)), shape=(n_u, n_u))
+        self._c_u = sp.csr_matrix(np.hstack(
+            (self._c_a, self._c_c[0][:, minus.free_slice], self._c_c[1][:, plus.free_slice])))
 
     # ---------------- states ----------------
 
@@ -307,26 +310,32 @@ class CoupledProblem:
                      + np.dot(state.lam_c_plus, res_p)
                      + state.eta[0] * c_plus + state.eta[1] * c_minus)
 
+    def _adjoint_fields(self, state: SystemState):
+        """The three adjoints as full-length fields, zero off the test set."""
+        lam_a = np.zeros(self.atomistic.n)
+        lam_a[self.atomistic.test_idx] = state.lam_a
+        lam_m = np.zeros(self.continuum.minus.n)
+        lam_m[1:-1] = state.lam_c_minus
+        lam_p = np.zeros(self.continuum.plus.n)
+        lam_p[1:-1] = state.lam_c_plus
+        return lam_a, lam_m, lam_p
+
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
         full_m, full_p = self._full_sides(state)
+        lam_a, lam_m, lam_p = self._adjoint_fields(state)
         minus, plus = self.continuum.minus, self.continuum.plus
         g = np.zeros(self.layout.total)
 
-        # objective part (quadratic form times the displacement vector)
+        # The products below stay dense BLAS products on C-ordered arrays.
+        # A sparse product, or a Fortran-ordered operand, sums the rows in
+        # another order, and one ULP in the gradient moves the converged
+        # err_l2 past 1e-6 relative (gamma 3, r_core 320).
         gj_a = self._j_aa @ state.u_a + self._j_ac[0] @ full_m + self._j_ac[1] @ full_p
         gj_m = self._j_ac[0].T @ state.u_a + self._j_cc[0] @ full_m
         gj_p = self._j_ac[1].T @ state.u_a + self._j_cc[1] @ full_p
-
-        # multiplier-weighted constraint derivatives
-        lam_a_full = np.zeros(self.atomistic.n)
-        lam_a_full[self.atomistic.test_idx] = state.lam_a
-        adj_a = self.atomistic.hessian(state.u_a) @ lam_a_full
-        lam_m_full = np.zeros(minus.n)
-        lam_m_full[1:-1] = state.lam_c_minus
-        adj_m = minus.hessian(full_m) @ lam_m_full
-        lam_p_full = np.zeros(plus.n)
-        lam_p_full[1:-1] = state.lam_c_plus
-        adj_p = plus.hessian(full_p) @ lam_p_full
+        adj_a = self.atomistic.hessian(state.u_a).toarray() @ lam_a
+        adj_m = minus.hessian(full_m).toarray() @ lam_m
+        adj_p = plus.hessian(full_p).toarray() @ lam_p
 
         g[self.layout["u_a"]] = gj_a + adj_a + self._c_a.T @ state.eta
         g[self.layout["u_c_minus"]] = (gj_m + adj_m + self._c_c[0].T @ state.eta)[minus.free_slice]
@@ -341,41 +350,18 @@ class CoupledProblem:
     def lagrangian_hessian(self, state: SystemState) -> KktSystem:
         """Block Hessian of the stationarity functional at the given state."""
         full_m, full_p = self._full_sides(state)
+        lam_a, lam_m, lam_p = self._adjoint_fields(state)
         minus, plus = self.continuum.minus, self.continuum.plus
-
-        lam_a_full = np.zeros(self.atomistic.n)
-        lam_a_full[self.atomistic.test_idx] = state.lam_a
-        a_aa = self._j_aa + self.atomistic.third_contraction(state.u_a, lam_a_full)
-        lam_m_full = np.zeros(minus.n)
-        lam_m_full[1:-1] = state.lam_c_minus
-        a_cc_m = self._j_cc[0] + minus.third_contraction(full_m, lam_m_full)
-        lam_p_full = np.zeros(plus.n)
-        lam_p_full[1:-1] = state.lam_c_plus
-        a_cc_p = self._j_cc[1] + plus.third_contraction(full_p, lam_p_full)
-
         fs_m, fs_p = minus.free_slice, plus.free_slice
-        b_a = self.atomistic.hessian(state.u_a)[self.atomistic.test_idx, :]
-        b_m = minus.hessian(full_m)[1:-1, fs_m]
-        b_p = plus.hessian(full_p)[1:-1, fs_p]
-        c_a = self._c_a
-        c_m = self._c_c[0][:, fs_m]
-        c_p = self._c_c[1][:, fs_p]
-
-        K = sp.bmat([
-            [sp.csr_matrix(a_aa), sp.csr_matrix(self._j_ac[0][:, fs_m]),
-             sp.csr_matrix(self._j_ac[1][:, fs_p]), sp.csr_matrix(b_a.T),
-             None, None, sp.csr_matrix(c_a.T)],
-            [sp.csr_matrix(self._j_ac[0][:, fs_m].T), sp.csr_matrix(a_cc_m[fs_m, fs_m]),
-             None, None, sp.csr_matrix(b_m.T), None, sp.csr_matrix(c_m.T)],
-            [sp.csr_matrix(self._j_ac[1][:, fs_p].T), None,
-             sp.csr_matrix(a_cc_p[fs_p, fs_p]), None, None, sp.csr_matrix(b_p.T),
-             sp.csr_matrix(c_p.T)],
-            [sp.csr_matrix(b_a), None, None, None, None, None, None],
-            [None, sp.csr_matrix(b_m), None, None, None, None, None],
-            [None, None, sp.csr_matrix(b_p), None, None, None, None],
-            [sp.csr_matrix(c_a), sp.csr_matrix(c_m), sp.csr_matrix(c_p),
-             None, None, None, None],
-        ], format="csc")
+        third = sp.block_diag((self.atomistic.third_contraction(state.u_a, lam_a),
+                               minus.third_contraction(full_m, lam_m)[fs_m, fs_m],
+                               plus.third_contraction(full_p, lam_p)[fs_p, fs_p]))
+        b = sp.block_diag((self.atomistic.hessian(state.u_a)[self.atomistic.test_idx],
+                           minus.hessian(full_m)[1:-1, fs_m],
+                           plus.hessian(full_p)[1:-1, fs_p]))
+        K = sp.bmat([[self._j_uu + third, b.T, self._c_u.T],
+                     [b, None, None],
+                     [self._c_u, None, None]], format="csc")
         return KktSystem(K, self.layout)
 
     # ---------------- solver ----------------

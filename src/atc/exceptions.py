@@ -9,12 +9,12 @@ class ConfigurationError(AtcError):
     """A state is physically unevaluable (e.g. a collapsed bond)."""
 
 
-class IllPosedParametersError(AtcError, ValueError):
-    """Mesh-optimization parameters make the target norm infinite."""
-
-
 class UsageError(AtcError, ValueError):
     """Invalid parameters or inconsistent inputs supplied by the caller."""
+
+
+class IllPosedParametersError(UsageError):
+    """Mesh-optimization parameters make the target norm infinite."""
 
 
 class KktSolverError(AtcError):

@@ -71,11 +71,20 @@ def write_csv(records, path):
 
 
 def read_csv(path) -> list[ConvergenceRecord]:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise UsageError("missing or unexpected CSV header")
-    return [ConvergenceRecord.from_csv_row(ln) for ln in lines[1:]]
+    try:
+        with open(path) as fh:
+            lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    except OSError as err:
+        raise UsageError(f"cannot read CSV file: {err}") from err
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise UsageError(f"{path}: missing or unexpected CSV header")
+    records = []
+    for lineno, ln in lines[1:]:
+        try:
+            records.append(ConvergenceRecord.from_csv_row(ln))
+        except ValueError as err:
+            raise UsageError(f"{path}:{lineno}: {err}") from err
+    return records
 
 
 def write_plot_data(records, path):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import DomainDecomposition, GradedMesh
 from .exceptions import UsageError
@@ -128,11 +129,21 @@ def stencil_triplets(back, centre, fwd, cff, cfb, cbb):
     return rows, cols, vals
 
 
-def _dense(n: int, rows, cols, vals) -> np.ndarray:
-    """Dense n x n matrix summing the triplets in order."""
-    H = np.zeros((n, n))
-    np.add.at(H, (rows, cols), vals)
-    return H
+def csr_from_triplets(shape, rows, cols, vals) -> sp.csr_matrix:
+    """CSR matrix summing the triplets in order, without stored zeros.
+
+    Duplicates are summed in triplet order (np.bincount adds in input order,
+    as a dense np.add.at scatter does); scipy's own duplicate summation
+    promises no order.  Entries that sum to exactly zero are dropped, so the
+    matrix holds what a dense scatter holds.
+    """
+    n_rows, n_cols = shape
+    keys, slot = np.unique(rows * n_cols + cols, return_inverse=True)
+    sums = np.bincount(slot, weights=vals)
+    keep = sums != 0.0
+    keys = keys[keep]
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    return sp.csr_matrix((sums[keep], keys % n_cols, indptr), shape=shape)
 
 
 class AtomisticModel:
@@ -179,18 +190,20 @@ class AtomisticModel:
         """Gradient components in the equilibrium-site directions."""
         return self.gradient(u)[self.test_idx]
 
-    def hessian(self, u) -> np.ndarray:
+    def hessian(self, u) -> sp.csr_matrix:
         cff, cfb, cbb = site_hessian_arrays(*self._differences(u))
-        return _dense(self.n, *stencil_triplets(*self._stencil, cff, cfb, cbb))
+        return csr_from_triplets((self.n, self.n),
+                                 *stencil_triplets(*self._stencil, cff, cfb, cbb))
 
-    def third_contraction(self, u, weights) -> np.ndarray:
+    def third_contraction(self, u, weights) -> sp.csr_matrix:
         """Third derivative tensor contracted once with a full-length vector."""
         fff, ffb, fbb, bbb = site_third_arrays(*self._differences(u))
         sf, sb = self._differences(weights)
         cff = fff * sf + ffb * sb
         cfb = ffb * sf + fbb * sb
         cbb = fbb * sf + bbb * sb
-        return _dense(self.n, *stencil_triplets(*self._stencil, cff, cfb, cbb))
+        return csr_from_triplets((self.n, self.n),
+                                 *stencil_triplets(*self._stencil, cff, cfb, cbb))
 
 
 class ContinuumSide:
@@ -267,15 +280,15 @@ class ContinuumSide:
         s1 = cauchy_born_d1(self.strains(u_full))
         return stencil_gradient(self.n, *self._stencil, s1, self._zero) - self.load
 
-    def _element_matrix(self, coef) -> np.ndarray:
-        return _dense(self.n, *stencil_triplets(*self._stencil, coef,
-                                                self._zero, self._zero))
+    def _element_matrix(self, coef) -> sp.csr_matrix:
+        return csr_from_triplets((self.n, self.n), *stencil_triplets(
+            *self._stencil, coef, self._zero, self._zero))
 
-    def hessian(self, u_full) -> np.ndarray:
+    def hessian(self, u_full) -> sp.csr_matrix:
         coef = cauchy_born_d2(self.strains(u_full)) / self.h
         return self._element_matrix(coef)
 
-    def third_contraction(self, u_full, weights_full) -> np.ndarray:
+    def third_contraction(self, u_full, weights_full) -> sp.csr_matrix:
         coef = (cauchy_born_d3(self.strains(u_full))
                 * np.diff(weights_full) / self.h**2)
         return self._element_matrix(coef)

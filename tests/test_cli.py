@@ -64,6 +64,14 @@ def test_non_finite_gamma_is_usage_error(command, gamma, capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("args", [["run", "--r-core", "10", "--gamma", "0.5"],
+                                  ["sweep", "--r-core", "10", "--gamma", "0.4"]])
+def test_ill_posed_gamma_is_usage_error(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "gamma > 1/2" in err and "internal error" not in err
+
+
 def test_run_uniform_norm(capsys):
     code, out, _ = run_cli(["run", "--r-core", "4", "--gamma", "1.5",
                             "--norm", "uniform"], capsys)
@@ -138,6 +146,29 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("cores=4\n")
     code, _, err = run_cli(["run", "--config", str(cfg), "--gamma", "1.5"], capsys)
     assert code == 2
+
+
+CSV_HEADER = ("r_core,r_a,r_c,dof,err_l2,err_inf,objective,"
+              "newton_iters,residual,wall_time,converged")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("run", "r-core=abc\ngamma=1.5\n", "{path}:1: bad value for r-core"),
+    ("run", "r-core=10\ngamma=abc\n", "{path}:2: bad value for gamma"),
+    ("run", "r-core=4,5\ngamma=1.5\n", "run takes one core radius"),
+    ("sweep", "r-core=4\ngamma=1.5\nwarm-start=yes\n", "{path}:3: bad value for warm-start"),
+    ("rate", None, "No such file or directory: '{path}'"),
+    ("rate", CSV_HEADER + "\n4,8,182,45,abc,0.1,0.0,6,1e-14,0.02,true\n", "{path}:2:"),
+], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "rate-missing-file",
+        "rate-bad-field"])
+def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    args = [command, str(path)] if command == "rate" else [command, "--config", str(path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert message.format(path=path) in err
 
 
 def test_non_convergence_exit_code(capsys):

@@ -28,7 +28,11 @@ RECORDED_COLD_SOLVES = {
     (3.0, 20): (4.24686320062103e-07, 5),
     (3.0, 40): (3.128101997617355e-08, 5),
     (1.5, 10): (0.00010677655145086248, 6),
+    (3.0, 320): (2.0328478272469813e-11, 5),
 }
+
+# stored entries of problem_10's KKT matrix, recorded from the dense assembly
+KKT_NNZ_10 = {"zero": 1214, "random": 1559}
 
 ZERO_BLOCK_PAIRS = [
     ("lam_a", "lam_a"), ("lam_a", "lam_c_minus"), ("lam_a", "lam_c_plus"),
@@ -221,6 +225,17 @@ def test_hessian_exactly_symmetric(small_problem):
         K = small_problem.lagrangian_hessian(state).matrix
         asym = (K - K.T)
         assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
+
+
+def test_hessian_is_canonical_csc_without_stored_zeros(problem_10):
+    # the LU's column ordering depends on the exact sparsity structure
+    states = {"zero": problem_10.zero_state(),
+              "random": random_state(problem_10, np.random.default_rng(27))}
+    for name, state in states.items():
+        K = problem_10.lagrangian_hessian(state).matrix
+        assert K.format == "csc" and K.has_canonical_format
+        assert np.all(K.data != 0.0)
+        assert K.nnz == KKT_NNZ_10[name]
 
 
 def test_hessian_vector_products_match_fd(small_problem):

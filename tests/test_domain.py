@@ -15,6 +15,7 @@ from atc import (
     UsageError,
     build_graded_mesh,
     count_dof,
+    domain,
     make_decomposition,
     mesh_size,
     optimal_radii,
@@ -139,6 +140,20 @@ def test_decomposition_validation():
         DomainDecomposition(10, 20, 20)
     with pytest.raises(UsageError):
         DomainDecomposition(10, 20, 1789.0)  # non-integer radius
+
+
+def test_decomposition_rejects_domains_too_large_to_hold(monkeypatch):
+    # gamma 0.75 at r_core 10 spans 2.56e9 sites, far past any memory
+    with pytest.raises(UsageError, match="physical memory"):
+        make_decomposition(10, 0.75)
+    # just above gamma 1/2 the radius exponent overflows a float
+    with pytest.raises(UsageError, match="too large"):
+        make_decomposition(10, 0.5000001)
+    monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
+    # about 17.6 GB for 117M sites at r_core 640; 3.1 GB at r_core 320
+    with pytest.raises(UsageError, match="physical memory"):
+        make_decomposition(640, 1.5)
+    assert make_decomposition(320, 1.5).r_c == 10362152
 
 
 def test_graded_mesh_matches_independent_replay():
