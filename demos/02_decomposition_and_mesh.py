@@ -35,9 +35,6 @@ print("first coarse nodes:", pos[:10].tolist())
 print("last coarse nodes:", pos[-5:].tolist())
 print("degrees of freedom:", count_dof(dec, mesh))
 
-mesh.write_nodes("/tmp/atc_mesh_nodes.txt")
-print("\nnode dump written to /tmp/atc_mesh_nodes.txt (one integer per line)")
-
 print("\ndof growth with the core radius:")
 for r_core in (10, 20, 40, 80):
     d = make_decomposition(r_core, GAMMA)

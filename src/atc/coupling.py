@@ -422,19 +422,24 @@ class CoupledProblem:
 
     # ---------------- composite solution ----------------
 
-    def assemble_atc_solution(self, state: SystemState) -> np.ndarray:
-        """Composite displacement on every lattice site of the domain.
+    def composite_at(self, state: SystemState, sites) -> np.ndarray:
+        """Composite displacement at ascending integer sites.
 
-        Atomistic values inside the atomistic region, the continuum
-        interpolant outside it, zero on the outer boundary.
+        Atomistic values on |site| <= r_a, the continuum interpolant of each
+        side outside it, zero on and beyond the outer boundary.
         """
-        dec = self.dec
-        full_m, full_p = self._full_sides(state)
-        vals = np.zeros(2 * dec.r_c + 1)
-        off = dec.r_c
-        vals[off - dec.r_a: off + dec.r_a + 1] = state.u_a
-        xs = np.arange(dec.r_a + 1, dec.r_c + 1)
-        vals[xs + off] = np.interp(xs, self.continuum.plus.x, full_p)
-        xs = np.arange(-dec.r_c, -dec.r_a)
-        vals[xs + off] = np.interp(xs, self.continuum.minus.x, full_m)
+        sites = np.asarray(sites)
+        minus, plus = self.continuum.minus, self.continuum.plus
+        # np.interp reads only the two knots that bracket a site, so a site
+        # beyond r_a sees its own side's element; the sites between the two
+        # sides lie in [-r_a, r_a] and take the atomistic values below
+        vals = np.interp(sites, np.concatenate((minus.x, plus.x)),
+                         np.concatenate(self._full_sides(state)), left=0.0, right=0.0)
+        r_a = self.dec.r_a
+        lo, hi = np.searchsorted(sites, -r_a), np.searchsorted(sites, r_a, side="right")
+        vals[lo:hi] = state.u_a[sites[lo:hi] + r_a]
         return vals
+
+    def assemble_atc_solution(self, state: SystemState) -> np.ndarray:
+        """Composite displacement on every lattice site of the domain."""
+        return self.composite_at(state, self.dec.sites)

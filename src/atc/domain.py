@@ -186,18 +186,6 @@ class GradedMesh:
         if np.any(np.diff(nodes) <= 0):
             raise UsageError("mesh nodes must be strictly increasing")
 
-    def write_nodes(self, path):
-        """Plain-text dump, one integer node coordinate per line."""
-        with open(path, "w") as fh:
-            for n in self.nodes:
-                fh.write(f"{int(n)}\n")
-
-    @classmethod
-    def read_nodes(cls, path) -> "GradedMesh":
-        with open(path) as fh:
-            nodes = [int(line) for line in fh if line.strip()]
-        return cls(np.array(nodes, dtype=int))
-
 
 def build_graded_mesh(dec: DomainDecomposition, gamma: float,
                       norm: str = "energy") -> GradedMesh:

@@ -51,11 +51,17 @@ class ConvergenceRecord:
         kw = {}
         for f, v in zip(fields(cls), vals):
             if f.name == "converged":
-                kw[f.name] = v.lower() == "true"
+                if v not in ("true", "false"):
+                    raise ValueError(f"converged must be true or false, got {v!r}")
+                kw[f.name] = v == "true"
             elif f.type == "int":
                 kw[f.name] = int(v)
             else:
                 kw[f.name] = float(v)
+        # a converged point enters the log-log rate fit
+        if kw["converged"] and not (kw["dof"] > 0 and 0.0 < kw["err_l2"] < np.inf):
+            raise ValueError(f"converged row needs positive dof and finite positive "
+                             f"err_l2, got dof={kw['dof']}, err_l2={kw['err_l2']!r}")
         return cls(**kw)
 
 
@@ -163,19 +169,10 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
                   prev_state: SystemState) -> SystemState:
     """Seed a new problem from the previous composite solution (adjoints zero)."""
     state = problem.zero_state()
-    prev_vals = prev_problem.assemble_atc_solution(prev_state)
-
-    def sample(sites):
-        sites = np.asarray(sites)
-        out = np.zeros(len(sites), dtype=float)
-        inside = np.abs(sites) <= prev_problem.dec.r_c
-        out[inside] = prev_vals[sites[inside] + prev_problem.dec.r_c]
-        return out
-
-    state.u_a[:] = sample(problem.dec.atomistic_sites)
     minus, plus = problem.continuum.minus, problem.continuum.plus
-    state.u_c_minus[:] = sample(minus.nodes)[minus.free_slice]
-    state.u_c_plus[:] = sample(plus.nodes)[plus.free_slice]
+    state.u_a[:] = prev_problem.composite_at(prev_state, problem.dec.atomistic_sites)
+    state.u_c_minus[:] = prev_problem.composite_at(prev_state, minus.nodes)[minus.free_slice]
+    state.u_c_plus[:] = prev_problem.composite_at(prev_state, plus.nodes)[plus.free_slice]
     return state
 
 
@@ -214,6 +211,8 @@ def fit_rate(records) -> float:
     pts = [(r.dof, r.err_l2) for r in records if r.converged]
     if len(pts) < 3:
         raise UsageError(f"rate fit needs at least 3 converged records, got {len(pts)}")
+    if len({p[0] for p in pts}) < 2:
+        raise UsageError("rate fit needs converged records at two or more distinct dof")
     dof = np.log([p[0] for p in pts])
     err = np.log([p[1] for p in pts])
     return float(np.polyfit(dof, err, 1)[0])

@@ -55,16 +55,18 @@ def force_values(sites, gamma: float):
     Per site this is the gradient of the internal (force-free) infinite
     lattice energy at the exact solution, so the forced energy
     sum(V) - sum(f u) is stationary there.  Decaying, and antisymmetric by
-    construction: values are computed on |site| and mirrored, which pins the
-    oddness of the field down to the last bit.
+    construction: the force is computed once on 0 .. max|site| and mirrored
+    by sign, which pins the oddness of the field down to the last bit.  The
+    force at t is vf(t-1) - vf(t) + vb(t+1) - vb(t), from the site-energy
+    derivatives of the stencils centred at t-1, t and t+1, so one evaluation
+    of the exact field on -2 .. max|site| + 2 and of the site gradient on
+    -1 .. max|site| + 1 serves every site.  Sites are integers.
     """
-    s = np.abs(np.asarray(sites, dtype=float))
-    u = {k: exact_solution(s + k, gamma) for k in (-2, -1, 0, 1, 2)}
-    # stencils at xi-1, xi, xi+1
-    vf_m, _ = site_gradient_arrays(u[0] - u[-1], u[-2] - u[-1])
-    vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0])
-    _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1])
-    return np.sign(sites) * (vf_m - vf_0 + vb_p - vb_0)
+    s = np.abs(np.asarray(sites))
+    u = exact_solution(np.arange(-2, np.max(s, initial=0) + 3), gamma)
+    vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
+    half = vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1]
+    return np.sign(sites) * half[s]
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,6 @@ class ExternalForce:
 
     origin: int
     values: np.ndarray
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.origin, self.origin + len(self.values))
 
     def at(self, sites) -> np.ndarray:
         sites = np.asarray(sites, dtype=int)

@@ -152,6 +152,13 @@ CSV_HEADER = ("r_core,r_a,r_c,dof,err_l2,err_inf,objective,"
               "newton_iters,residual,wall_time,converged")
 
 
+def rate_csv(*rows):
+    """A sweep CSV: three fittable rows, then the given (dof, err_l2, converged)."""
+    rows = ((45, "1e-4", "true"), (85, "3e-5", "true"), (165, "8e-6", "true")) + rows
+    return CSV_HEADER + "\n" + "".join(
+        f"4,8,182,{dof},{err},0.1,0.0,6,1e-14,0.02,{conv}\n" for dof, err, conv in rows)
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("run", "r-core=abc\ngamma=1.5\n", "{path}:1: bad value for r-core"),
     ("run", "r-core=10\ngamma=abc\n", "{path}:2: bad value for gamma"),
@@ -159,8 +166,15 @@ CSV_HEADER = ("r_core,r_a,r_c,dof,err_l2,err_inf,objective,"
     ("sweep", "r-core=4\ngamma=1.5\nwarm-start=yes\n", "{path}:3: bad value for warm-start"),
     ("rate", None, "No such file or directory: '{path}'"),
     ("rate", CSV_HEADER + "\n4,8,182,45,abc,0.1,0.0,6,1e-14,0.02,true\n", "{path}:2:"),
+    ("rate", rate_csv((325, "2e-6", "yes")), "{path}:5: converged must be true or false"),
+    ("rate", rate_csv((325, "0.0", "true")), "{path}:5: converged row needs"),
+    ("rate", rate_csv((325, "nan", "true")), "{path}:5: converged row needs"),
+    ("rate", rate_csv((0, "2e-6", "true")), "{path}:5: converged row needs"),
+    ("rate", CSV_HEADER + "\n" + "4,8,182,45,1e-4,0.1,0.0,6,1e-14,0.02,true\n" * 3,
+     "two or more distinct dof"),
 ], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "rate-missing-file",
-        "rate-bad-field"])
+        "rate-bad-field", "rate-converged-yes", "rate-zero-err", "rate-nan-err",
+        "rate-zero-dof", "rate-equal-dof"])
 def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys):
     path = tmp_path / "input.txt"
     if text is not None:

@@ -378,6 +378,37 @@ def test_assemble_atc_solution(problem_10, solved_10):
         assert abs(vals[xi + dec.r_c] - expect) < 1e-15
 
 
+def composite_by_sides(problem, state):
+    """The composite on every site: the u_a slice and one np.interp per side."""
+    dec = problem.dec
+    minus, plus = problem.continuum.minus, problem.continuum.plus
+    expect = np.zeros(2 * dec.r_c + 1)
+    off = dec.r_c
+    expect[off - dec.r_a: off + dec.r_a + 1] = state.u_a
+    xs = np.arange(dec.r_a + 1, dec.r_c + 1)
+    expect[xs + off] = np.interp(xs, plus.x, plus.embed(state.u_c_plus))
+    xs = np.arange(-dec.r_c, -dec.r_a)
+    expect[xs + off] = np.interp(xs, minus.x, minus.embed(state.u_c_minus))
+    return expect
+
+
+def test_composite_is_the_atomistic_slice_and_one_interpolant_per_side(problem_10):
+    state = random_state(problem_10, np.random.default_rng(8))
+    expect = composite_by_sides(problem_10, state)
+    assert np.array_equal(problem_10.assemble_atc_solution(state), expect)
+
+
+def test_composite_at_samples_ascending_sites_and_zero_beyond(problem_10):
+    state = random_state(problem_10, np.random.default_rng(9))
+    dec = problem_10.dec
+    expect = composite_by_sides(problem_10, state)
+    sites = np.array([-dec.r_c - 5, -dec.r_c, -dec.r_a - 1, -dec.r_a, 0,
+                      dec.r_a, dec.r_a + 1, dec.r_c - 1, dec.r_c, dec.r_c + 3])
+    inside = np.abs(sites) <= dec.r_c
+    sampled = np.where(inside, expect[np.where(inside, sites + dec.r_c, 0)], 0.0)
+    assert np.array_equal(problem_10.composite_at(state, sites), sampled)
+
+
 def test_state_block_views_alias_vector(small_problem):
     state = small_problem.zero_state()
     state.u_a[3] = 1.5

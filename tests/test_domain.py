@@ -225,18 +225,6 @@ def test_count_dof_scales_linearly_in_r_a():
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
 
 
-def test_mesh_nodes_dump_round_trip(tmp_path):
-    dec = make_decomposition(10, 1.5)
-    mesh = build_graded_mesh(dec, 1.5)
-    path = tmp_path / "nodes.txt"
-    mesh.write_nodes(path)
-    text = path.read_text().splitlines()
-    assert len(text) == len(mesh.nodes)
-    assert all(ln.lstrip("-").isdigit() for ln in text)
-    again = GradedMesh.read_nodes(path)
-    np.testing.assert_array_equal(again.nodes, mesh.nodes)
-
-
 def test_mesh_rejects_unsorted_nodes():
     with pytest.raises(UsageError):
         GradedMesh(np.array([0, 2, 1]))

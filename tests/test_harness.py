@@ -19,7 +19,7 @@ from atc import (
     write_csv,
     write_plot_data,
 )
-from atc.harness import CSV_HEADER, _build_problem, strip_timing
+from atc.harness import CSV_HEADER, _build_problem, _warm_initial, strip_timing
 from conftest import GAMMA
 
 
@@ -72,6 +72,21 @@ def test_fit_rate_needs_three_converged_points():
         fit_rate(records)
 
 
+def test_csv_rows_a_rate_fit_cannot_use_are_rejected():
+    # an unconverged row keeps the NaN errors run_sweep writes
+    unconverged = dataclasses.replace(fake_record(100, float("nan")), converged=False)
+    assert np.isnan(ConvergenceRecord.from_csv_row(unconverged.to_csv_row()).err_l2)
+    good = fake_record(100, 1e-4).to_csv_row()
+    bad_rows = [good.replace("true", "yes"), good.replace("true", "True")]
+    bad_rows += [fake_record(dof, err).to_csv_row() for dof, err in
+                 ((100, 0.0), (100, float("nan")), (100, float("inf")), (0, 1e-4))]
+    for row in bad_rows:
+        with pytest.raises(ValueError):
+            ConvergenceRecord.from_csv_row(row)
+    with pytest.raises(UsageError):
+        fit_rate([fake_record(100, e) for e in (1e-4, 2e-4, 3e-4)])
+
+
 def test_run_single_boundary_core_radius_accepted():
     # overlap width equals twice the interaction range exactly
     record = run_single(4, GAMMA)
@@ -115,6 +130,26 @@ def test_sweep_warm_start_reaches_same_solution():
     for c, w in zip(cold, warm):
         assert abs(c.err_l2 - w.err_l2) < 1e-8
         assert w.newton_iters <= c.newton_iters
+
+
+def test_warm_seed_samples_the_previous_composite():
+    prev = _build_problem(10, GAMMA, "energy")
+    prev_state, _ = prev.newton_solve()
+    problem = _build_problem(11, GAMMA, "energy")
+    assert problem.dec.r_c > prev.dec.r_c
+    vals = prev.assemble_atc_solution(prev_state)
+
+    def sample(sites):
+        inside = np.abs(sites) <= prev.dec.r_c
+        return np.where(inside, vals[np.where(inside, sites + prev.dec.r_c, 0)], 0.0)
+
+    minus, plus = problem.continuum.minus, problem.continuum.plus
+    expect = problem.zero_state()
+    expect.u_a[:] = sample(problem.dec.atomistic_sites)
+    expect.u_c_minus[:] = sample(minus.nodes)[minus.free_slice]
+    expect.u_c_plus[:] = sample(plus.nodes)[plus.free_slice]
+    seed = _warm_initial(problem, prev, prev_state)
+    assert np.array_equal(seed.vector, expect.vector)
 
 
 def test_sweep_records_failures_and_continues():

@@ -84,6 +84,23 @@ def test_forces_match_fd_of_infinite_lattice_energy():
         assert abs(fd - force_values([site], GAMMA)[0]) < 1e-8
 
 
+@pytest.mark.parametrize("gamma", [1.5, 3.0])
+@pytest.mark.parametrize("r_core", [10, 20])
+def test_manufactured_forces_equal_the_five_point_formula(gamma, r_core):
+    # per site, the three stencils centred at |s|-1, |s| and |s|+1 on five
+    # exact values, mirrored by sign: the field must match it bit for bit
+    from atc.potentials import site_gradient_arrays
+
+    dec = make_decomposition(r_core, gamma)
+    s = np.abs(dec.sites).astype(float)
+    u = {k: exact_solution(s + k, gamma) for k in (-2, -1, 0, 1, 2)}
+    vf_m, _ = site_gradient_arrays(u[0] - u[-1], u[-2] - u[-1])
+    vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0])
+    _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1])
+    expect = np.sign(dec.sites) * (vf_m - vf_0 + vb_p - vb_0)
+    assert manufacture_forces(gamma, dec).values.tobytes() == expect.tobytes()
+
+
 def test_external_force_range_check(dec, forces):
     with pytest.raises(UsageError):
         forces.at([dec.r_c + 1])
