@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import DomainDecomposition, GradedMesh
+from .domain import COMPOSITE_BYTES_PER_SITE, DomainDecomposition, GradedMesh, require_memory
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
 from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces
 
@@ -442,4 +442,5 @@ class CoupledProblem:
 
     def assemble_atc_solution(self, state: SystemState) -> np.ndarray:
         """Composite displacement on every lattice site of the domain."""
+        require_memory("the full composite", 2 * self.dec.r_c + 1, COMPOSITE_BYTES_PER_SITE)
         return self.composite_at(state, self.dec.sites)

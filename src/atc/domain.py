@@ -20,14 +20,57 @@ from .exceptions import IllPosedParametersError, UsageError
 from .potentials import INTERACTION_RANGE
 
 
-# Peak memory of a solve is about 150 bytes per lattice site of [-r_c, r_c]
-# (measured: 3.1 GB at 20.7M sites, 615 MB at 3.66M sites).
-BYTES_PER_SITE = 150
+# Sums over the lattice stream through ranges of at most this many sites, so
+# only the full-lattice oracle and the full composite hold every site.  A
+# chunk's dozen float64 temporaries then take about 1.5 MB, within a core's
+# L2 cache: at 2**16 sites the set-up of the perfbench oracle workload (up to
+# 57,244 sites per side) took 24% longer than one pass over all sites; at
+# 2**14 it took the same (five alternating runs each).
+LATTICE_CHUNK = 1 << 14
+
+# Peak memory per lattice site of [-r_c, r_c] of the two calls that hold
+# every site.  The full-lattice oracle grew the peak RSS by 828 bytes per
+# site at 114,489 sites and by 717 at 647,637 (gamma 1.5, one BLAS thread);
+# the full composite allocates 24 bytes per site (tracemalloc).
+BYTES_PER_SITE = 850
+COMPOSITE_BYTES_PER_SITE = 24
+
+# Largest site position that float64 holds exactly.
+MAX_SITE = 2**53
 
 
 def physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(what: str, n_sites: int, bytes_per_site: int = BYTES_PER_SITE) -> None:
+    """Reject a call over n_sites lattice sites that would not fit in memory.
+
+    Called before the call allocates anything per site.
+    """
+    need, have = bytes_per_site * n_sites, physical_memory()
+    if need > have:
+        raise UsageError(
+            f"{what} needs about {need / 1e9:.3g} GB for its {n_sites} lattice "
+            f"sites, more than the {have / 1e9:.3g} GB of physical memory"
+        )
+
+
+def lattice_chunks(first: int, last: int, overlap: int = 0):
+    """Consecutive ranges of the sites first .. last, ascending.
+
+    Each range is an integer array of at most LATTICE_CHUNK sites, and
+    neighbouring ranges share `overlap` sites.  Nothing is yielded when
+    last < first.
+    """
+    start = first
+    while start <= last:
+        stop = min(start + LATTICE_CHUNK - 1, last)
+        yield np.arange(start, stop + 1)
+        if stop == last:
+            return
+        start = stop + 1 - overlap
 
 
 def _snap(p: float) -> float:
@@ -81,6 +124,9 @@ def optimal_radii(r_core: int, gamma: float, norm: str = "energy") -> tuple[int,
         r_c = int(np.ceil(_snap(float(r_a) ** e)))
     except OverflowError as err:
         raise UsageError(f"r_c = {r_a}**{e:.6g} is too large to represent") from err
+    if r_c > MAX_SITE:
+        raise UsageError(f"r_c = {r_c} is too large: site positions above 2**53 "
+                         f"are not exact in float64")
     return r_a, r_c
 
 
@@ -125,13 +171,6 @@ class DomainDecomposition:
             raise UsageError(
                 f"overlap width {self.r_a - self.r_core} below twice the "
                 f"interaction range {self.margin}"
-            )
-        need, have = BYTES_PER_SITE * (2 * self.r_c + 1), physical_memory()
-        if need > have:
-            raise UsageError(
-                f"r_c={self.r_c} needs about {need / 1e9:.3g} GB for its "
-                f"{2 * self.r_c + 1} lattice sites, more than the "
-                f"{have / 1e9:.3g} GB of physical memory"
             )
 
     @property

@@ -15,12 +15,11 @@ side holds one value per mesh node with the outer node pinned to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import DomainDecomposition, GradedMesh
+from . import domain
+from .domain import DomainDecomposition, GradedMesh, lattice_chunks
 from .exceptions import UsageError
 from .potentials import (
     cauchy_born_d1,
@@ -49,48 +48,109 @@ def exact_solution_derivative(x, gamma: float):
     return 0.1 * (1.0 + x * x) ** (-gamma / 2.0 - 1.0) * (1.0 + (1.0 - gamma) * x * x)
 
 
+def _force_chunks(first: int, last: int, gamma: float, edge=None):
+    """Force at t = first .. last (first >= 0), in ascending chunks.
+
+    Yields (t, force, edge).  The force at t is vf(t-1) - vf(t) + vb(t+1) -
+    vb(t), from the site-energy derivatives of the stencils centred at t-1,
+    t and t+1 on the exact field.  A chunk hands its last two site gradients,
+    at t[-1] and t[-1] + 1, to the next as `edge`, so every site gradient is
+    evaluated once; an `edge` passed in continues an evaluation that ended
+    at first - 1.
+    """
+    for t in lattice_chunks(first, last):
+        if edge is None:
+            u = exact_solution(np.arange(t[0] - 2, t[-1] + 3), gamma)
+            vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
+        else:
+            u = exact_solution(np.arange(t[0], t[-1] + 3), gamma)
+            new_f, new_b = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
+            vf, vb = np.concatenate((edge[0], new_f)), np.concatenate((edge[1], new_b))
+        edge = vf[-2:], vb[-2:]
+        yield t, vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1], edge
+
+
+def _half_line_forces(first: int, last: int, gamma: float):
+    """Force at t = first .. last as one array, and the evaluation's edge."""
+    half, edge = np.empty(max(last - first + 1, 0)), None
+    for t, f, edge in _force_chunks(first, last, gamma):
+        half[t - first] = f
+    return half, edge
+
+
 def force_values(sites, gamma: float):
     """External force making exact_solution an equilibrium of the lattice.
 
     Per site this is the gradient of the internal (force-free) infinite
     lattice energy at the exact solution, so the forced energy
     sum(V) - sum(f u) is stationary there.  Decaying, and antisymmetric by
-    construction: the force is computed once on 0 .. max|site| and mirrored
-    by sign, which pins the oddness of the field down to the last bit.  The
-    force at t is vf(t-1) - vf(t) + vb(t+1) - vb(t), from the site-energy
-    derivatives of the stencils centred at t-1, t and t+1, so one evaluation
-    of the exact field on -2 .. max|site| + 2 and of the site gradient on
-    -1 .. max|site| + 1 serves every site.  Sites are integers.
+    construction: the force is computed once on min|site| .. max|site| and
+    mirrored by sign, which pins the oddness of the field down to the last
+    bit.  Sites are integers.
     """
     s = np.abs(np.asarray(sites))
-    u = exact_solution(np.arange(-2, np.max(s, initial=0) + 3), gamma)
-    vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
-    half = vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1]
-    return np.sign(sites) * half[s]
+    first, last = (int(s.min()), int(s.max())) if s.size else (0, -1)
+    half, _ = _half_line_forces(first, last, gamma)
+    return np.sign(sites) * half[s - first]
 
 
-@dataclass(frozen=True)
 class ExternalForce:
-    """Per-site force field on a contiguous integer site range."""
+    """Odd per-site force field on the sites of [-r_c, r_c].
 
-    origin: int
-    values: np.ndarray
+    The atomistic window [-r_a, r_a] is evaluated once and held in `values`
+    (origin -r_a).  Every other site is evaluated on demand: the manufactured
+    field for a given gamma, or zero without one.
+    """
+
+    def __init__(self, dec: DomainDecomposition, gamma: float | None = None):
+        self.r_c = dec.r_c
+        self.origin = -dec.r_a
+        self.gamma = gamma
+        sites = dec.atomistic_sites
+        if gamma is None:
+            self.values, self._edge = np.zeros(len(sites)), None
+        else:
+            half, self._edge = _half_line_forces(0, dec.r_a, gamma)
+            self.values = np.sign(sites) * half[np.abs(sites)]
 
     def at(self, sites) -> np.ndarray:
         sites = np.asarray(sites, dtype=int)
-        idx = sites - self.origin
-        if np.any(idx < 0) or np.any(idx >= len(self.values)):
+        if np.any(np.abs(sites) > self.r_c):
             raise UsageError("requested sites outside the force field's range")
-        return self.values[idx]
+        idx = sites - self.origin
+        cached = (idx >= 0) & (idx < len(self.values))
+        out = np.zeros(sites.shape)
+        out[cached] = self.values[idx[cached]]
+        if self.gamma is not None:
+            out[~cached] = force_values(sites[~cached], self.gamma)
+        return out
+
+    def half_line(self, first: int):
+        """Force at t = first .. r_c, with 0 <= first <= r_a + 1, in ascending chunks.
+
+        Yields (t, force): the window from the cache, then every further site
+        evaluated once, continuing the window's evaluation.  The force at -t
+        is the negated force at t.
+        """
+        r_a = -self.origin
+        if first <= r_a:
+            t = np.arange(first, r_a + 1)
+            yield t, self.values[t + r_a]
+        if self.gamma is None:
+            for t in lattice_chunks(r_a + 1, self.r_c):
+                yield t, np.zeros(len(t))
+            return
+        for t, f, _ in _force_chunks(r_a + 1, self.r_c, self.gamma, self._edge):
+            yield t, f
 
     @classmethod
     def zero(cls, dec: DomainDecomposition) -> "ExternalForce":
-        return cls(-dec.r_c, np.zeros(2 * dec.r_c + 1))
+        return cls(dec)
 
 
 def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
-    """Manufactured force field on every lattice site of the truncated domain."""
-    return ExternalForce(-dec.r_c, force_values(dec.sites, gamma))
+    """Manufactured force field of the truncated domain; see ExternalForce."""
+    return ExternalForce(dec, gamma)
 
 
 def stencil_gradient(n: int, back, centre, fwd, vf, vb) -> np.ndarray:
@@ -213,7 +273,7 @@ class ContinuumSide:
     pinned entry.
     """
 
-    def __init__(self, nodes: np.ndarray, outer_first: bool, force: ExternalForce | None):
+    def __init__(self, nodes: np.ndarray, outer_first: bool):
         self.nodes = np.asarray(nodes, dtype=int)
         self.outer_first = outer_first
         self.x = self.nodes.astype(float)
@@ -226,7 +286,7 @@ class ContinuumSide:
         e = np.arange(self.n - 1)
         self._stencil = (e, e, e + 1)
         self._zero = np.zeros(self.n - 1)
-        self.load = self._load_vector(force)
+        self.load = np.zeros(self.n)
 
     # free nodes exclude the outer Dirichlet node; test nodes additionally
     # exclude the inner boundary node, which is a coupling control
@@ -243,19 +303,20 @@ class ContinuumSide:
         u[self.free_slice] = u_free
         return u
 
-    def _load_vector(self, force: ExternalForce | None) -> np.ndarray:
-        """Exact integral of (If) * hat_n for each node n.
+    def _add_load(self, sums, first: int, f) -> None:
+        """Add the load of the unit intervals [m, m + 1], m = first, first + 1, ...
 
-        If interpolates the site forces linearly between lattice sites, so on
-        each unit interval the integrand against a hat function is quadratic
-        and the two-point weighted trapezoid rule below is exact.
+        f holds the site forces at first .. first + len(f) - 1.  The force
+        interpolant is linear on each interval, so its integral against
+        each of the two hat functions there is quadratic and the weighted
+        two-point trapezoid rule below is exact.  sums = (left, right) hold
+        per node the running totals over the element to its right and to its
+        left; each enters np.bincount ahead of the new terms, and np.bincount
+        adds in input order from 0.0, so a node's total continues exactly.
         """
-        if force is None:
-            return np.zeros(self.n)
-        grid = np.arange(self.nodes[0], self.nodes[-1] + 1)
-        f = force.at(grid)
-        m = grid[:-1].astype(float)
-        elem = np.searchsorted(self.nodes, grid[:-1], side="right") - 1
+        m = np.arange(first, first + len(f) - 1)
+        elem = np.searchsorted(self.nodes, m, side="right") - 1
+        m = m.astype(float)
         xl, xr = self.x[elem], self.x[elem + 1]
         h = xr - xl
         fm, fp = f[:-1], f[1:]
@@ -264,8 +325,11 @@ class ContinuumSide:
         pr0, pr1 = (m - xl) / h, (m + 1.0 - xl) / h
         left = (2.0 * fm * pl0 + fm * pl1 + fp * pl0 + 2.0 * fp * pl1) / 6.0
         right = (2.0 * fm * pr0 + fm * pr1 + fp * pr0 + 2.0 * fp * pr1) / 6.0
-        return (np.bincount(elem, weights=left, minlength=self.n)
-                + np.bincount(elem + 1, weights=right, minlength=self.n))
+        e0, e1 = elem[0], elem[-1] + 1
+        bins = np.concatenate((np.arange(e1 - e0), elem - e0))
+        for total, terms, shift in zip(sums, (left, right), (0, 1)):
+            held = total[e0 + shift:e1 + shift]
+            held[:] = np.bincount(bins, weights=np.concatenate((held, terms)))
 
     def strains(self, u_full) -> np.ndarray:
         return np.diff(u_full) / self.h
@@ -303,11 +367,55 @@ class ContinuumModel:
         plus_nodes = nodes[nodes >= dec.r_core]
         minus_nodes = nodes[nodes <= -dec.r_core]
         expected = np.arange(dec.r_core, dec.r_a + 1)
-        if not np.array_equal(plus_nodes[: len(expected)], expected):
+        if not (np.array_equal(plus_nodes[: len(expected)], expected)
+                and np.array_equal(-minus_nodes[::-1][: len(expected)], expected)):
             raise UsageError("mesh is not fully refined on the overlap region")
         self.dec = dec
-        self.minus = ContinuumSide(minus_nodes, outer_first=True, force=force)
-        self.plus = ContinuumSide(plus_nodes, outer_first=False, force=force)
+        self.minus = ContinuumSide(minus_nodes, outer_first=True)
+        self.plus = ContinuumSide(plus_nodes, outer_first=False)
+        if force is not None:
+            self._build_loads(force)
+
+    def _build_loads(self, force: ExternalForce) -> None:
+        """Exact integral of (If) * hat_n for every node of both sides.
+
+        One sweep over |site| = r_core .. r_c serves both sides: it reads
+        the force once per site, at +t for the plus side and negated for the
+        minus side (the field is odd), and cuts it into ranges that end on
+        element boundaries of both sides, each at most LATTICE_CHUNK sites
+        unless one element is longer.  Each element's unit intervals
+        are added in ascending site order, as one np.bincount over the whole
+        side adds them: ascending |site| on the plus side, descending on the
+        minus side, in sub-chunks of at most LATTICE_CHUNK intervals.
+        """
+        minus, plus = self.minus, self.plus
+        bounds = np.union1d(plus.nodes, -minus.nodes)
+        sums = {side: (np.zeros(side.n), np.zeros(side.n)) for side in (minus, plus)}
+        chunks = force.half_line(int(bounds[0]))
+        spare = np.zeros(0)  # forces read from the stream but not yet used
+        i = 0
+        while i < len(bounds) - 1:
+            j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + domain.LATTICE_CHUNK,
+                                               side="right")) - 1)
+            first, last = int(bounds[i]), int(bounds[j])
+            # the force at first .. last; spare starts at first
+            f = np.empty(last - first + 1)
+            filled = min(len(spare), len(f))
+            f[:filled], spare = spare[:filled], spare[filled:]
+            while filled < len(f):
+                _, more = next(chunks)
+                take = min(len(more), len(f) - filled)
+                f[filled:filled + take], spare = more[:take], more[take:]
+                filled += take
+            # the next range starts at this one's last site
+            spare = np.concatenate((f[-1:], spare))
+            for k in lattice_chunks(0, len(f) - 2):
+                sub = slice(k[0], k[-1] + 2)
+                plus._add_load(sums[plus], first + int(k[0]), f[sub])
+                minus._add_load(sums[minus], -last + int(k[0]), -f[::-1][sub])
+            i = j
+        for side, (left, right) in sums.items():
+            side.load = left + right
 
     def energy(self, u_minus_free, u_plus_free) -> float:
         return (self.minus.energy(self.minus.embed(u_minus_free))

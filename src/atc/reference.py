@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from .domain import DomainDecomposition, GradedMesh
+from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
 from .exceptions import ConfigurationError, NonConvergenceError, UsageError
 from .models import (exact_solution, exact_solution_derivative, force_values,
                      stencil_gradient, stencil_triplets)
@@ -47,8 +47,10 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
     extension.  The manufactured forces are applied unless an explicit force
     field is given.  Newton stops once the inf-norm residual is below 1e-10
     and gives up after 50 iterations; these controls are the oracle's own,
-    independent of NewtonOptions.
+    independent of NewtonOptions.  Every site is held, so a domain that
+    would not fit in physical memory is rejected first.
     """
+    require_memory("the full-lattice solve", 2 * dec.r_c + 1)
     sites = dec.sites
     n = len(sites)
     forces = force.at(sites) if force is not None else force_values(sites, gamma)
@@ -140,9 +142,10 @@ def truncation_tail_sq(gamma: float, r_c: int) -> float:
     """
     def partial(first: int) -> float:
         window = min(4_000_000, max(1_000_000, 2 * r_c))
-        xs = np.arange(first, first + window + 1, dtype=float)
-        d = np.diff(exact_solution(xs, gamma))
-        head = float(np.dot(d, d))
+        head = 0.0
+        for xs in lattice_chunks(first, first + window, overlap=1):
+            d = np.diff(exact_solution(xs, gamma))
+            head += float(np.dot(d, d))
         tail, _ = quad(lambda x: exact_solution_derivative(x, gamma) ** 2,
                        first + window + 0.5, np.inf)
         return head + tail
@@ -158,13 +161,14 @@ def coarsening_term_sq(gamma: float, dec: DomainDecomposition, mesh: GradedMesh)
     nodes = mesh.nodes.astype(float)
     total = 0.0
     for sign in (-1, 1):
-        xs = sign * np.arange(dec.r_core, dec.r_c + 1, dtype=float)
-        elem = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
-                       0, len(nodes) - 2)
-        h = nodes[elem + 1] - nodes[elem]
-        d2 = (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
-              + exact_solution(xs - 1, gamma))
-        total += float(np.dot(h * d2, h * d2))
+        for t in lattice_chunks(dec.r_core, dec.r_c):
+            xs = sign * t.astype(float)
+            elem = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
+                           0, len(nodes) - 2)
+            h = nodes[elem + 1] - nodes[elem]
+            d2 = (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
+                  + exact_solution(xs - 1, gamma))
+            total += float(np.dot(h * d2, h * d2))
     return total
 
 

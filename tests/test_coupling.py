@@ -378,6 +378,18 @@ def test_assemble_atc_solution(problem_10, solved_10):
         assert abs(vals[xi + dec.r_c] - expect) < 1e-15
 
 
+def test_full_composite_is_rejected_before_it_outgrows_memory(monkeypatch, problem_10, solved_10):
+    # the full composite holds every site; measure_errors streams them
+    from atc import domain
+
+    state, _ = solved_10
+    expect = measure_errors(problem_10, state)
+    monkeypatch.setattr(domain, "physical_memory", lambda: 2 * problem_10.dec.r_c)
+    with pytest.raises(UsageError, match="physical memory"):
+        problem_10.assemble_atc_solution(state)
+    assert measure_errors(problem_10, state) == expect
+
+
 def composite_by_sides(problem, state):
     """The composite on every site: the u_a slice and one np.interp per side."""
     dec = problem.dec

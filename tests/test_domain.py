@@ -19,6 +19,7 @@ from atc import (
     make_decomposition,
     mesh_size,
     optimal_radii,
+    solve_full_atomistic,
 )
 
 # from the high-precision replay below, r_core=10, gamma=1.5, energy norm
@@ -143,16 +144,27 @@ def test_decomposition_validation():
 
 
 def test_decomposition_rejects_domains_too_large_to_hold(monkeypatch):
-    # gamma 0.75 at r_core 10 spans 2.56e9 sites, far past any memory
+    # A decomposition and its mesh hold no per-site array, so a domain of
+    # any size builds; the full-lattice oracle holds every site and is
+    # rejected before it allocates.  gamma 0.75 at r_core 10 spans 2.56e9
+    # sites.
+    dec = make_decomposition(10, 0.75)
+    assert dec.r_c == 20**7
+    assert build_graded_mesh(dec, 0.75).nodes[-1] == dec.r_c
     with pytest.raises(UsageError, match="physical memory"):
-        make_decomposition(10, 0.75)
+        solve_full_atomistic(dec, 0.75)
+    # past 2**53 site positions are not exact in float64 (3.4e17 sites)
+    with pytest.raises(UsageError, match="too large"):
+        make_decomposition(160, 0.75)
     # just above gamma 1/2 the radius exponent overflows a float
     with pytest.raises(UsageError, match="too large"):
         make_decomposition(10, 0.5000001)
     monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
-    # about 17.6 GB for 117M sites at r_core 640; 3.1 GB at r_core 320
+    # 117M sites at r_core 640
+    dec = make_decomposition(640, 1.5)
+    assert build_graded_mesh(dec, 1.5).nodes[-1] == dec.r_c
     with pytest.raises(UsageError, match="physical memory"):
-        make_decomposition(640, 1.5)
+        solve_full_atomistic(dec, 1.5)
     assert make_decomposition(320, 1.5).r_c == 10362152
 
 

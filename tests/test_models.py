@@ -6,16 +6,19 @@ import pytest
 from atc import (
     AtomisticModel,
     ContinuumModel,
+    CoupledProblem,
     ExternalForce,
     GradedMesh,
     UsageError,
     build_graded_mesh,
     cauchy_born_energy_density,
+    domain,
     exact_solution,
     exact_solution_derivative,
     force_values,
     make_decomposition,
     manufacture_forces,
+    measure_errors,
 )
 from conftest import GAMMA, fd_gradient, rel_err_inf
 
@@ -98,7 +101,23 @@ def test_manufactured_forces_equal_the_five_point_formula(gamma, r_core):
     vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0])
     _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1])
     expect = np.sign(dec.sites) * (vf_m - vf_0 + vb_p - vb_0)
-    assert manufacture_forces(gamma, dec).values.tobytes() == expect.tobytes()
+    force = manufacture_forces(gamma, dec)
+    assert force.at(dec.sites).tobytes() == expect.tobytes()
+    # only the atomistic window is held
+    window = slice(dec.r_c - dec.r_a, dec.r_c + dec.r_a + 1)
+    assert force.values.tobytes() == expect[window].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [5, 64])
+def test_force_values_on_any_site_range_equal_the_whole_half_line(monkeypatch, chunk):
+    monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
+    dec = make_decomposition(10, GAMMA)
+    whole = force_values(dec.sites, GAMMA)
+    for lo, hi in ((-dec.r_c, -300), (-7, 5), (100, 101), (dec.r_a + 1, dec.r_c)):
+        sites = np.arange(lo, hi + 1)
+        got = force_values(sites, GAMMA)
+        assert got.tobytes() == whole[sites + dec.r_c].tobytes()
+    assert force_values(np.arange(0), GAMMA).shape == (0,)
 
 
 def test_external_force_range_check(dec, forces):
@@ -242,3 +261,71 @@ def test_continuum_requires_refined_overlap(dec):
     bad = GradedMesh(np.array([-dec.r_c, -dec.r_core, dec.r_core, dec.r_c]))
     with pytest.raises(UsageError):
         ContinuumModel(dec, bad)
+
+
+def one_shot_load(side, force):
+    """The load of one side from one pass over all its sites at once."""
+    grid = np.arange(side.nodes[0], side.nodes[-1] + 1)
+    f = force.at(grid)
+    m = grid[:-1].astype(float)
+    elem = np.searchsorted(side.nodes, grid[:-1], side="right") - 1
+    xl, xr = side.x[elem], side.x[elem + 1]
+    h = xr - xl
+    fm, fp = f[:-1], f[1:]
+    pl0, pl1 = (xr - m) / h, (xr - m - 1.0) / h
+    pr0, pr1 = (m - xl) / h, (m + 1.0 - xl) / h
+    left = (2.0 * fm * pl0 + fm * pl1 + fp * pl0 + 2.0 * fp * pl1) / 6.0
+    right = (2.0 * fm * pr0 + fm * pr1 + fp * pr0 + 2.0 * fp * pr1) / 6.0
+    return (np.bincount(elem, weights=left, minlength=side.n)
+            + np.bincount(elem + 1, weights=right, minlength=side.n))
+
+
+def one_shot_errors(problem, state):
+    """measure_errors from the composite and the exact field on every site."""
+    dec = problem.dec
+    vals = np.concatenate(([0.0], problem.assemble_atc_solution(state), [0.0]))
+    d = np.diff(vals - exact_solution(np.arange(-dec.r_c - 1, dec.r_c + 2), problem.gamma))
+    return float(np.sqrt(np.dot(d, d))), float(np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("chunk", [5, 64])
+@pytest.mark.parametrize("r_core", [10, 20])
+def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, chunk, r_core):
+    # the sweep cuts elements longer than a chunk into sub-chunks and
+    # carries each node's running total across them: the loads must be the
+    # one-shot bincount's bytes; err_l2 sums its squares in another order
+    monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
+    dec = make_decomposition(r_core, GAMMA)
+    problem = CoupledProblem(dec, build_graded_mesh(dec, GAMMA), GAMMA)
+    assert max(np.diff(problem.mesh.nodes)) > chunk
+    for side in (problem.continuum.minus, problem.continuum.plus):
+        assert side.load.tobytes() == one_shot_load(side, problem.force).tobytes()
+    state, _ = problem.newton_solve()
+    err_l2, err_inf = measure_errors(problem, state)
+    expect_l2, expect_inf = one_shot_errors(problem, state)
+    assert err_inf == expect_inf
+    assert abs(err_l2 - expect_l2) <= 1e-13 * expect_l2
+
+
+def test_zero_force_gives_zero_loads(dec, mesh):
+    cont = ContinuumModel(dec, mesh, ExternalForce.zero(dec))
+    for side in (cont.minus, cont.plus):
+        assert side.load.tobytes() == np.zeros(side.n).tobytes()
+
+
+def test_coupled_solve_memory_does_not_grow_with_the_domain():
+    # gamma 1.5 at r_core 80 spans 647,637 sites; a per-site float64 array
+    # alone would take 5.2 MB, and the one-shot sums held about a dozen
+    import tracemalloc
+
+    dec = make_decomposition(80, GAMMA)
+    mesh = build_graded_mesh(dec, GAMMA)
+    tracemalloc.start()
+    try:
+        problem = CoupledProblem(dec, mesh, GAMMA)
+        state, _ = problem.newton_solve()
+        measure_errors(problem, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
