@@ -80,9 +80,12 @@ def _require(merged, key):
 
 def _parse_r_cores(text) -> list[int]:
     try:
-        return [int(t) for t in str(text).split(",") if t.strip()]
+        r_cores = [int(t) for t in str(text).split(",") if t.strip()]
     except ValueError as err:
         raise UsageError(f"bad --r-core list {text!r}") from err
+    if not r_cores:
+        raise UsageError(f"empty --r-core list {text!r}")
+    return r_cores
 
 
 def _cmd_run(args) -> int:

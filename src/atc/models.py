@@ -48,34 +48,20 @@ def exact_solution_derivative(x, gamma: float):
     return 0.1 * (1.0 + x * x) ** (-gamma / 2.0 - 1.0) * (1.0 + (1.0 - gamma) * x * x)
 
 
-def _force_chunks(first: int, last: int, gamma: float, edge=None):
-    """Force at t = first .. last (first >= 0), in ascending chunks.
+def _half_line_forces(first: int, last: int, gamma: float) -> np.ndarray:
+    """Force at t = first .. last (first >= 0) as one array.
 
-    Yields (t, force, edge).  The force at t is vf(t-1) - vf(t) + vb(t+1) -
-    vb(t), from the site-energy derivatives of the stencils centred at t-1,
-    t and t+1 on the exact field.  A chunk hands its last two site gradients,
-    at t[-1] and t[-1] + 1, to the next as `edge`, so every site gradient is
-    evaluated once; an `edge` passed in continues an evaluation that ended
-    at first - 1.
+    The force at t is vf(t-1) - vf(t) + vb(t+1) - vb(t), from the site-energy
+    derivatives of the stencils centred at t-1, t and t+1 on the exact field.
+    The array is filled over lattice_chunks; each chunk evaluates the field on
+    its own sites and two more on each side, so nothing crosses a chunk.
     """
+    half = np.empty(max(last - first + 1, 0))
     for t in lattice_chunks(first, last):
-        if edge is None:
-            u = exact_solution(np.arange(t[0] - 2, t[-1] + 3), gamma)
-            vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
-        else:
-            u = exact_solution(np.arange(t[0], t[-1] + 3), gamma)
-            new_f, new_b = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
-            vf, vb = np.concatenate((edge[0], new_f)), np.concatenate((edge[1], new_b))
-        edge = vf[-2:], vb[-2:]
-        yield t, vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1], edge
-
-
-def _half_line_forces(first: int, last: int, gamma: float):
-    """Force at t = first .. last as one array, and the evaluation's edge."""
-    half, edge = np.empty(max(last - first + 1, 0)), None
-    for t, f, edge in _force_chunks(first, last, gamma):
-        half[t - first] = f
-    return half, edge
+        u = exact_solution(np.arange(t[0] - 2, t[-1] + 3), gamma)
+        vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
+        half[t - first] = vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1]
+    return half
 
 
 def force_values(sites, gamma: float):
@@ -86,66 +72,26 @@ def force_values(sites, gamma: float):
     sum(V) - sum(f u) is stationary there.  Decaying, and antisymmetric by
     construction: the force is computed once on min|site| .. max|site| and
     mirrored by sign, which pins the oddness of the field down to the last
-    bit.  Sites are integers.
+    bit.  Sites must be integers.
     """
-    s = np.abs(np.asarray(sites))
+    sites = np.asarray(sites)
+    if not np.issubdtype(sites.dtype, np.integer):
+        raise UsageError(f"force sites must be integers, got {sites.dtype}")
+    s = np.abs(sites)
     first, last = (int(s.min()), int(s.max())) if s.size else (0, -1)
-    half, _ = _half_line_forces(first, last, gamma)
-    return np.sign(sites) * half[s - first]
+    return np.sign(sites) * _half_line_forces(first, last, gamma)[s - first]
 
 
 class ExternalForce:
-    """Odd per-site force field on the sites of [-r_c, r_c].
+    """The manufactured force field for one gamma, odd in the site.
 
-    The atomistic window [-r_a, r_a] is evaluated once and held in `values`
-    (origin -r_a).  Every other site is evaluated on demand: the manufactured
-    field for a given gamma, or zero without one.
+    Only the atomistic window [-r_a, r_a] is held (`values`); the continuum
+    loads evaluate the rest of [-r_c, r_c] range by range.
     """
 
-    def __init__(self, dec: DomainDecomposition, gamma: float | None = None):
-        self.r_c = dec.r_c
-        self.origin = -dec.r_a
+    def __init__(self, dec: DomainDecomposition, gamma: float):
         self.gamma = gamma
-        sites = dec.atomistic_sites
-        if gamma is None:
-            self.values, self._edge = np.zeros(len(sites)), None
-        else:
-            half, self._edge = _half_line_forces(0, dec.r_a, gamma)
-            self.values = np.sign(sites) * half[np.abs(sites)]
-
-    def at(self, sites) -> np.ndarray:
-        sites = np.asarray(sites, dtype=int)
-        if np.any(np.abs(sites) > self.r_c):
-            raise UsageError("requested sites outside the force field's range")
-        idx = sites - self.origin
-        cached = (idx >= 0) & (idx < len(self.values))
-        out = np.zeros(sites.shape)
-        out[cached] = self.values[idx[cached]]
-        if self.gamma is not None:
-            out[~cached] = force_values(sites[~cached], self.gamma)
-        return out
-
-    def half_line(self, first: int):
-        """Force at t = first .. r_c, with 0 <= first <= r_a + 1, in ascending chunks.
-
-        Yields (t, force): the window from the cache, then every further site
-        evaluated once, continuing the window's evaluation.  The force at -t
-        is the negated force at t.
-        """
-        r_a = -self.origin
-        if first <= r_a:
-            t = np.arange(first, r_a + 1)
-            yield t, self.values[t + r_a]
-        if self.gamma is None:
-            for t in lattice_chunks(r_a + 1, self.r_c):
-                yield t, np.zeros(len(t))
-            return
-        for t, f, _ in _force_chunks(r_a + 1, self.r_c, self.gamma, self._edge):
-            yield t, f
-
-    @classmethod
-    def zero(cls, dec: DomainDecomposition) -> "ExternalForce":
-        return cls(dec)
+        self.values = force_values(dec.atomistic_sites, gamma)
 
 
 def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
@@ -212,7 +158,7 @@ class AtomisticModel:
     displacement at an equilibrium site; force work is applied at the
     equilibrium sites only, so boundary-control sites carry no load.
     Equilibrium equations are the energy gradient restricted to equilibrium
-    sites.
+    sites.  Without a force the model carries no load.
     """
 
     def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
@@ -225,8 +171,8 @@ class AtomisticModel:
         self.test_idx = np.arange(2 * m, self.n - 2 * m)      # equilibrium sites
         i = self.energy_idx
         self._stencil = (i - 1, i, i + 1)
-        force = force if force is not None else ExternalForce.zero(dec)
-        self.force_test = force.at(dec.equilibrium_sites)
+        self.force_test = (force.values[self.test_idx] if force is not None
+                           else np.zeros(len(self.test_idx)))
 
     def _differences(self, u):
         i = self.energy_idx
@@ -379,36 +325,25 @@ class ContinuumModel:
     def _build_loads(self, force: ExternalForce) -> None:
         """Exact integral of (If) * hat_n for every node of both sides.
 
-        One sweep over |site| = r_core .. r_c serves both sides: it reads
-        the force once per site, at +t for the plus side and negated for the
-        minus side (the field is odd), and cuts it into ranges that end on
-        element boundaries of both sides, each at most LATTICE_CHUNK sites
-        unless one element is longer.  Each element's unit intervals
-        are added in ascending site order, as one np.bincount over the whole
-        side adds them: ascending |site| on the plus side, descending on the
-        minus side, in sub-chunks of at most LATTICE_CHUNK intervals.
+        One sweep over |site| = r_core .. r_c serves both sides: it cuts the
+        sites into ranges that end on element boundaries of both sides, each
+        at most LATTICE_CHUNK sites unless one element is longer, and
+        evaluates each range's forces once, used at +t for the plus side and
+        negated for the minus side (the field is odd).  Each element's unit
+        intervals are added in ascending site order, as one np.bincount over
+        the whole side adds them: ascending |site| on the plus side,
+        descending on the minus side, in sub-chunks of at most LATTICE_CHUNK
+        intervals.
         """
         minus, plus = self.minus, self.plus
         bounds = np.union1d(plus.nodes, -minus.nodes)
         sums = {side: (np.zeros(side.n), np.zeros(side.n)) for side in (minus, plus)}
-        chunks = force.half_line(int(bounds[0]))
-        spare = np.zeros(0)  # forces read from the stream but not yet used
         i = 0
         while i < len(bounds) - 1:
             j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + domain.LATTICE_CHUNK,
                                                side="right")) - 1)
             first, last = int(bounds[i]), int(bounds[j])
-            # the force at first .. last; spare starts at first
-            f = np.empty(last - first + 1)
-            filled = min(len(spare), len(f))
-            f[:filled], spare = spare[:filled], spare[filled:]
-            while filled < len(f):
-                _, more = next(chunks)
-                take = min(len(more), len(f) - filled)
-                f[filled:filled + take], spare = more[:take], more[take:]
-                filled += take
-            # the next range starts at this one's last site
-            spare = np.concatenate((f[-1:], spare))
+            f = _half_line_forces(first, last, force.gamma)
             for k in lattice_chunks(0, len(f) - 2):
                 sub = slice(k[0], k[-1] + 2)
                 plus._add_load(sums[plus], first + int(k[0]), f[sub])

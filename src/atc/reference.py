@@ -38,22 +38,21 @@ class ReferenceSolution:
     iterations: int
 
 
-def solve_full_atomistic(dec: DomainDecomposition, gamma: float,
-                         force=None) -> ReferenceSolution:
+def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSolution:
     """Newton minimization of the truncated full-lattice problem.
 
     All sites of the domain are unknowns; the displacement is zero outside,
     so site energies whose stencils cross the boundary see the zero
-    extension.  The manufactured forces are applied unless an explicit force
-    field is given.  Newton stops once the inf-norm residual is below 1e-10
-    and gives up after 50 iterations; these controls are the oracle's own,
-    independent of NewtonOptions.  Every site is held, so a domain that
-    would not fit in physical memory is rejected first.
+    extension.  The manufactured forces of gamma are applied.  Newton stops
+    once the inf-norm residual is below 1e-10 and gives up after 50
+    iterations; these controls are the oracle's own, independent of
+    NewtonOptions.  Every site is held, so a domain that would not fit in
+    physical memory is rejected first.
     """
     require_memory("the full-lattice solve", 2 * dec.r_c + 1)
     sites = dec.sites
     n = len(sites)
-    forces = force.at(sites) if force is not None else force_values(sites, gamma)
+    forces = force_values(sites, gamma)
     # site-energy sum runs over every site whose stencil touches the domain
     pad = 2
 

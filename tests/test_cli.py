@@ -92,11 +92,12 @@ def test_sweep_to_stdout_and_file(tmp_path, capsys):
     assert out.startswith("r_core,")  # CSV on stdout when no --out
 
 
-def test_sweep_empty_list_exits_zero(capsys):
-    code, out, _ = run_cli(["sweep", "--r-core", "", "--gamma", "1.5"], capsys)
-    assert code == 0
-    assert out.strip() == ("r_core,r_a,r_c,dof,err_l2,err_inf,objective,"
-                           "newton_iters,residual,wall_time,converged")
+def test_sweep_empty_list_is_usage_error(capsys):
+    for text in ("", ",", " , "):
+        code, out, err = run_cli(["sweep", "--r-core", text, "--gamma", "1.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "empty --r-core list" in err
 
 
 def test_sweep_plot_data(tmp_path, capsys):
@@ -164,6 +165,8 @@ def rate_csv(*rows):
     ("run", "r-core=10\ngamma=abc\n", "{path}:2: bad value for gamma"),
     ("run", "r-core=4,5\ngamma=1.5\n", "run takes one core radius"),
     ("sweep", "r-core=4\ngamma=1.5\nwarm-start=yes\n", "{path}:3: bad value for warm-start"),
+    ("sweep", "r-core=,\ngamma=1.5\n", "{path}:1: bad value for r-core: empty"),
+    ("sweep", "gamma=1.5\nr-core=\n", "{path}:2: bad value for r-core: empty"),
     ("rate", None, "No such file or directory: '{path}'"),
     ("rate", CSV_HEADER + "\n4,8,182,45,abc,0.1,0.0,6,1e-14,0.02,true\n", "{path}:2:"),
     ("rate", rate_csv((325, "2e-6", "yes")), "{path}:5: converged must be true or false"),
@@ -172,7 +175,8 @@ def rate_csv(*rows):
     ("rate", rate_csv((0, "2e-6", "true")), "{path}:5: converged row needs"),
     ("rate", CSV_HEADER + "\n" + "4,8,182,45,1e-4,0.1,0.0,6,1e-14,0.02,true\n" * 3,
      "two or more distinct dof"),
-], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "rate-missing-file",
+], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "sweep-r-core-comma",
+        "sweep-r-core-empty", "rate-missing-file",
         "rate-bad-field", "rate-converged-yes", "rate-zero-err", "rate-nan-err",
         "rate-zero-dof", "rate-equal-dof"])
 def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys):

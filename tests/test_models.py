@@ -7,7 +7,6 @@ from atc import (
     AtomisticModel,
     ContinuumModel,
     CoupledProblem,
-    ExternalForce,
     GradedMesh,
     UsageError,
     build_graded_mesh,
@@ -53,15 +52,15 @@ def test_exact_solution_derivative_matches_fd():
     assert rel_err_inf(exact_solution_derivative(xs, GAMMA), fd) < 1e-8
 
 
-def test_forces_antisymmetric(dec, forces):
+def test_forces_antisymmetric(dec):
     xs = np.arange(0, dec.r_c + 1)
-    np.testing.assert_array_equal(forces.at(-xs), -forces.at(xs))
-    assert forces.at([0])[0] == 0.0
+    np.testing.assert_array_equal(force_values(-xs, GAMMA), -force_values(xs, GAMMA))
+    assert force_values([0], GAMMA)[0] == 0.0
 
 
-def test_forces_decay(forces):
-    near = np.max(np.abs(forces.at(np.arange(10, 21))))
-    far = np.max(np.abs(forces.at(np.arange(100, 201))))
+def test_forces_decay():
+    near = np.max(np.abs(force_values(np.arange(10, 21), GAMMA)))
+    far = np.max(np.abs(force_values(np.arange(100, 201), GAMMA)))
     assert far < near
 
 
@@ -101,11 +100,10 @@ def test_manufactured_forces_equal_the_five_point_formula(gamma, r_core):
     vf_0, vb_0 = site_gradient_arrays(u[1] - u[0], u[-1] - u[0])
     _, vb_p = site_gradient_arrays(u[2] - u[1], u[0] - u[1])
     expect = np.sign(dec.sites) * (vf_m - vf_0 + vb_p - vb_0)
-    force = manufacture_forces(gamma, dec)
-    assert force.at(dec.sites).tobytes() == expect.tobytes()
+    assert force_values(dec.sites, gamma).tobytes() == expect.tobytes()
     # only the atomistic window is held
     window = slice(dec.r_c - dec.r_a, dec.r_c + dec.r_a + 1)
-    assert force.values.tobytes() == expect[window].tobytes()
+    assert manufacture_forces(gamma, dec).values.tobytes() == expect[window].tobytes()
 
 
 @pytest.mark.parametrize("chunk", [5, 64])
@@ -113,16 +111,16 @@ def test_force_values_on_any_site_range_equal_the_whole_half_line(monkeypatch, c
     monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
     dec = make_decomposition(10, GAMMA)
     whole = force_values(dec.sites, GAMMA)
-    for lo, hi in ((-dec.r_c, -300), (-7, 5), (100, 101), (dec.r_a + 1, dec.r_c)):
+    # each chunk evaluates its own halo, also across the window's edge
+    for lo, hi in ((-dec.r_c, -300), (-7, 5), (100, 101), (dec.r_a + 1, dec.r_c),
+                   (dec.r_core, dec.r_a + 7)):
         sites = np.arange(lo, hi + 1)
         got = force_values(sites, GAMMA)
         assert got.tobytes() == whole[sites + dec.r_c].tobytes()
     assert force_values(np.arange(0), GAMMA).shape == (0,)
-
-
-def test_external_force_range_check(dec, forces):
-    with pytest.raises(UsageError):
-        forces.at([dec.r_c + 1])
+    for sites in ([0.5], [1.5], np.array([2.0, 3.5])):
+        with pytest.raises(UsageError, match="integers"):
+            force_values(sites, GAMMA)
 
 
 def test_atomistic_energy_zero_state(dec):
@@ -247,7 +245,7 @@ def test_continuum_work_term_exact_for_linear_interpolant(dec, mesh, forces):
     rng = np.random.default_rng(11)
     u = rng.uniform(-0.05, 0.05, side.n)
     xs = np.arange(side.nodes[0], side.nodes[-1] + 1)
-    f_lin = forces.at(xs).astype(float)
+    f_lin = force_values(xs, GAMMA)
     u_lin = np.interp(xs, side.x, u)
     # product of two piecewise-linear functions on unit intervals: exact
     # integral from endpoint values via the weighted two-point rule
@@ -266,7 +264,7 @@ def test_continuum_requires_refined_overlap(dec):
 def one_shot_load(side, force):
     """The load of one side from one pass over all its sites at once."""
     grid = np.arange(side.nodes[0], side.nodes[-1] + 1)
-    f = force.at(grid)
+    f = force_values(grid, force.gamma)
     m = grid[:-1].astype(float)
     elem = np.searchsorted(side.nodes, grid[:-1], side="right") - 1
     xl, xr = side.x[elem], side.x[elem + 1]
@@ -305,12 +303,6 @@ def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, chu
     expect_l2, expect_inf = one_shot_errors(problem, state)
     assert err_inf == expect_inf
     assert abs(err_l2 - expect_l2) <= 1e-13 * expect_l2
-
-
-def test_zero_force_gives_zero_loads(dec, mesh):
-    cont = ContinuumModel(dec, mesh, ExternalForce.zero(dec))
-    for side in (cont.minus, cont.plus):
-        assert side.load.tobytes() == np.zeros(side.n).tobytes()
 
 
 def test_coupled_solve_memory_does_not_grow_with_the_domain():

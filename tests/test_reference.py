@@ -23,16 +23,6 @@ def small_dec(r_c):
     return DomainDecomposition(10, 20, r_c)
 
 
-def test_full_atomistic_zero_forces_gives_zero():
-    # the homogeneous chain is an equilibrium of the force-free energy
-    from atc import ExternalForce
-
-    dec = small_dec(200)
-    ref = solve_full_atomistic(dec, GAMMA, force=ExternalForce.zero(dec))
-    assert ref.iterations == 0
-    np.testing.assert_array_equal(ref.values, 0.0)
-
-
 def test_full_atomistic_converges_with_small_residual():
     dec = small_dec(400)
     ref = solve_full_atomistic(dec, GAMMA)
