@@ -25,16 +25,21 @@ problem = CoupledProblem(dec, mesh, GAMMA)
 print(f"unknowns: {problem.layout.sizes}  total {problem.layout.total}")
 
 state, diag = problem.newton_solve()
-print("\nNewton history (residual, step, objective):")
-print(diag.to_csv())
+print("\nNewton history (residual, step length, KKT solve residual):")
+print(f"  0  {diag.residuals[0]:.3e}")
+for i, (res, step, kkt) in enumerate(zip(diag.residuals[1:], diag.step_lengths,
+                                         diag.kkt_residuals), 1):
+    print(f"  {i}  {res:.3e}  {step:g}  {kkt:.1e}")
 
-print("feasibility at the solution:")
-res_a = problem.atomistic.equilibrium_residual(state.u_a)
-rm, rp = problem.continuum.equilibrium_residual(state.u_c_minus, state.u_c_plus)
-c_plus, c_minus = problem.mean_zero_constraints(
-    state.u_a, state.u_c_minus, state.u_c_plus)
-print(f"  atomistic equilibrium: {np.max(np.abs(res_a)):.2e}")
-print(f"  continuum equilibrium: {max(np.max(np.abs(rm)), np.max(np.abs(rp))):.2e}")
+# the constraint blocks of the stationarity gradient are the residuals of
+# the equilibrium equations and the two mean-zero integrals
+print("\nfeasibility at the solution:")
+g = problem.lagrangian_gradient(state)
+layout = problem.layout
+res_c = max(np.max(np.abs(g[layout[name]])) for name in ("lam_c_minus", "lam_c_plus"))
+c_plus, c_minus = g[layout["eta"]]
+print(f"  atomistic equilibrium: {np.max(np.abs(g[layout['lam_a']])):.2e}")
+print(f"  continuum equilibrium: {res_c:.2e}")
 print(f"  mean-zero integrals:   {abs(c_plus):.2e}, {abs(c_minus):.2e}")
 print(f"  overlap mismatch:      "
       f"{problem.objective(state.u_a, state.u_c_minus, state.u_c_plus):.2e}")

@@ -37,7 +37,7 @@ _CONFIG_KEYS = {
 def _read_config(path) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -54,6 +54,8 @@ def _read_config(path) -> dict:
                     raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
     except OSError as err:
         raise UsageError(f"cannot read config file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not valid UTF-8: {err}") from err
     return values
 
 

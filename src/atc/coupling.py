@@ -23,7 +23,6 @@ blocks built once per problem; only the gradient keeps dense products.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,31 +43,32 @@ DAMPING_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-12
 
+# Newton gives up after this many steps.
+MAX_ITERATIONS = 50
+
+# Every saddle-point solve must meet this relative residual (inf norm).
+KKT_RESIDUAL_BOUND = 1e-10
+
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Damped Newton controls: stop below tolerance or after max_iterations.
+    """Damped Newton controls: stop below tolerance, or fail after MAX_ITERATIONS.
 
     Every step uses the full Hessian of the stationarity functional, with
     the adjoint-contracted third-derivative terms in the displacement blocks.
     """
 
     tolerance: float = 1e-10
-    max_iterations: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
             raise UsageError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 0:
-            raise UsageError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 class BlockLayout:
-    """Named slices of the flat unknown vector."""
+    """Named slices of the flat unknown vector, blocks in BLOCK_NAMES order."""
 
     def __init__(self, sizes: dict[str, int]):
-        if tuple(sizes) != BLOCK_NAMES:
-            raise UsageError(f"blocks must be {BLOCK_NAMES}")
         self.sizes = dict(sizes)
         offsets = np.concatenate(([0], np.cumsum(list(sizes.values()))))
         self.slices = {name: slice(int(offsets[i]), int(offsets[i + 1]))
@@ -112,10 +112,6 @@ class KktSystem:
     """Assembled block Hessian of the stationarity functional."""
 
     matrix: sp.csc_matrix
-    layout: BlockLayout
-
-    def block(self, row: str, col: str) -> np.ndarray:
-        return self.matrix[self.layout[row], self.layout[col]].toarray()
 
 
 @dataclass
@@ -124,7 +120,6 @@ class NewtonDiagnostics:
 
     residuals: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
-    objective_values: list = field(default_factory=list)
     kkt_residuals: list = field(default_factory=list)
     converged: bool = False
 
@@ -132,23 +127,14 @@ class NewtonDiagnostics:
     def iterations(self) -> int:
         return len(self.step_lengths)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("iter,residual,step_length,objective\n")
-        for i, (r, obj) in enumerate(zip(self.residuals, self.objective_values)):
-            step = 0.0 if i == 0 else self.step_lengths[i - 1]
-            out.write(f"{i},{r!r},{step!r},{obj!r}\n")
-        return out.getvalue()
 
-
-def solve_kkt_linear(system, rhs, residual_bound: float = 1e-10):
+def solve_kkt_linear(matrix, rhs):
     """Direct solve of the saddle-point system with a residual contract.
 
     Symmetric diagonal equilibration followed by sparse LU, with iterative
-    refinement until the relative residual (inf norm) meets residual_bound.
-    Returns (solution, relative_residual).
+    refinement until the relative residual (inf norm) meets
+    KKT_RESIDUAL_BOUND.  Returns (solution, relative_residual).
     """
-    matrix = system.matrix if isinstance(system, KktSystem) else system
     matrix = sp.csc_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = np.max(np.abs(rhs))
@@ -167,13 +153,13 @@ def solve_kkt_linear(system, rhs, residual_bound: float = 1e-10):
     x = d * lu.solve(d * rhs)
     rel = np.max(np.abs(matrix @ x - rhs)) / rhs_norm
     for _ in range(3):
-        if rel <= residual_bound:
+        if rel <= KKT_RESIDUAL_BOUND:
             break
         x = x + d * lu.solve(d * (rhs - matrix @ x))
         rel = np.max(np.abs(matrix @ x - rhs)) / rhs_norm
-    if not np.isfinite(rel) or rel > residual_bound:
+    if not np.isfinite(rel) or rel > KKT_RESIDUAL_BOUND:
         raise KktSolverError(
-            f"linear solve residual {rel:.3e} exceeds bound {residual_bound:.1e}",
+            f"linear solve residual {rel:.3e} exceeds bound {KKT_RESIDUAL_BOUND:.1e}",
             condition_estimate=_condition_estimate(matrix, lu=lu, scale=d))
     return x, rel
 
@@ -182,10 +168,12 @@ def _condition_estimate(matrix, lu, scale):
     """One-norm condition estimate from the LU; cheap but adequate for diagnostics."""
     try:
         n = matrix.shape[0]
+        # the operator is applied to (n, 1) columns; scaled unflattened, they
+        # would broadcast against the (n,) scale to (n, n)
         inv_op = spla.LinearOperator(
             (n, n),
-            matvec=lambda v: scale * lu.solve(scale * v),
-            rmatvec=lambda v: scale * lu.solve(scale * v, trans="T"),
+            matvec=lambda v: scale * lu.solve(scale * np.ravel(v)),
+            rmatvec=lambda v: scale * lu.solve(scale * np.ravel(v), trans="T"),
         )
         return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
     except Exception:
@@ -362,7 +350,7 @@ class CoupledProblem:
         K = sp.bmat([[self._j_uu + third, b.T, self._c_u.T],
                      [b, None, None],
                      [self._c_u, None, None]], format="csc")
-        return KktSystem(K, self.layout)
+        return KktSystem(K)
 
     # ---------------- solver ----------------
 
@@ -380,17 +368,15 @@ class CoupledProblem:
         grad = self.lagrangian_gradient(state)
         res = float(np.max(np.abs(grad)))
         diag.residuals.append(res)
-        diag.objective_values.append(
-            self.objective(state.u_a, state.u_c_minus, state.u_c_plus))
 
         while res >= opts.tolerance:
-            if diag.iterations >= opts.max_iterations:
+            if diag.iterations >= MAX_ITERATIONS:
                 raise NonConvergenceError(
-                    f"no convergence in {opts.max_iterations} iterations "
+                    f"no convergence in {MAX_ITERATIONS} iterations "
                     f"(residual {res:.3e})",
                     residual_history=diag.residuals, diagnostics=diag)
             system = self.lagrangian_hessian(state)
-            step, rel = solve_kkt_linear(system, -grad)
+            step, rel = solve_kkt_linear(system.matrix, -grad)
             diag.kkt_residuals.append(rel)
 
             alpha = 1.0
@@ -414,8 +400,6 @@ class CoupledProblem:
             state, grad, res = trial, grad_new, res_new
             diag.residuals.append(res)
             diag.step_lengths.append(alpha)
-            diag.objective_values.append(
-                self.objective(state.u_a, state.u_c_minus, state.u_c_plus))
 
         diag.converged = True
         return state, diag

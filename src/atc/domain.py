@@ -148,9 +148,9 @@ def mesh_size(x, r_a: int, gamma: float, norm: str = "energy") -> int:
 class DomainDecomposition:
     """Radii and lattice index sets of the overlapping decomposition.
 
-    Invariants: 0 < r_core < r_a < r_c, and r_a - r_core >= 2*margin where
-    margin is the interaction range in lattice units, so the overlap is wide
-    enough for the atomistic interior sets to be meaningful.
+    Invariants: 0 < r_core < r_a < r_c, and the overlap width r_a - r_core is
+    at least twice the interaction range, so the atomistic equilibrium sites
+    (two interaction ranges in from r_a) cover the overlap's inner edge.
     """
 
     r_core: int
@@ -167,15 +167,11 @@ class DomainDecomposition:
                 f"radii must be ordered r_core < r_a < r_c, got "
                 f"({self.r_core}, {self.r_a}, {self.r_c})"
             )
-        if self.r_a - self.r_core < 2 * self.margin:
+        if self.r_a - self.r_core < 2 * INTERACTION_RANGE:
             raise UsageError(
                 f"overlap width {self.r_a - self.r_core} below twice the "
-                f"interaction range {self.margin}"
+                f"interaction range {INTERACTION_RANGE}"
             )
-
-    @property
-    def margin(self) -> int:
-        return INTERACTION_RANGE
 
     @property
     def sites(self) -> np.ndarray:
@@ -185,18 +181,6 @@ class DomainDecomposition:
     @property
     def atomistic_sites(self) -> np.ndarray:
         return np.arange(-self.r_a, self.r_a + 1)
-
-    @property
-    def interior_sites(self) -> np.ndarray:
-        """Sites whose whole interaction neighborhood lies in the atomistic region."""
-        m = self.r_a - self.margin
-        return np.arange(-m, m + 1)
-
-    @property
-    def equilibrium_sites(self) -> np.ndarray:
-        """Twice-interior sites, where the atomistic equilibrium equations are imposed."""
-        m = self.r_a - 2 * self.margin
-        return np.arange(-m, m + 1)
 
     @property
     def overlap_intervals(self) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,17 +70,26 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_output(path, mode="w"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot write output file: {err}") from err
+
+
 def write_csv(records, path):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(records_to_csv(records))
 
 
 def read_csv(path) -> list[ConvergenceRecord]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except OSError as err:
         raise UsageError(f"cannot read CSV file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not valid UTF-8: {err}") from err
     if not lines or lines[0][1] != CSV_HEADER:
         raise UsageError(f"{path}: missing or unexpected CSV header")
     records = []
@@ -94,7 +103,7 @@ def read_csv(path) -> list[ConvergenceRecord]:
 
 def write_plot_data(records, path):
     """Two-column (dof, err_l2) file, gnuplot friendly."""
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write("# dof err_l2\n")
         for r in records:
             fh.write(f"{r.dof} {r.err_l2!r}\n")
@@ -124,16 +133,17 @@ def _build_problem(r_core, gamma, norm) -> CoupledProblem:
     return CoupledProblem(dec, mesh, gamma)
 
 
-def _solve_point(r_core, gamma, norm, options, initial=None, problem=None,
-                 record_errors=False):
-    """Solve and measure one point; a NonConvergenceError gives an unconverged record.
+def _solve_point(r_core, gamma, norm, options, prev=None, record_errors=False):
+    """Build, seed, solve and measure one point, all inside wall_time.
 
-    With record_errors, so do a failed linear solve and an unevaluable
-    state; that record has no iterations and a NaN residual.
+    prev, the (problem, state) of a solved point, seeds a warm start.  A
+    NonConvergenceError gives an unconverged record; with record_errors, so
+    do a failed linear solve and an unevaluable state, and that record has
+    no iterations and a NaN residual.
     """
     t0 = time.perf_counter()
-    if problem is None:
-        problem = _build_problem(r_core, gamma, norm)
+    problem = _build_problem(r_core, gamma, norm)
+    initial = _warm_initial(problem, *prev) if prev is not None else None
     mesh = problem.mesh
     dec = problem.dec
     opts = options or NewtonOptions()
@@ -187,19 +197,19 @@ def run_sweep(r_cores, gamma: float, norm: str = "energy",
 
     A non-converged Newton run, a failed linear solve or an unevaluable state
     gives a record with converged false and NaN errors; a UsageError raises.
+    An output path that cannot be opened raises before the first solve.
     """
+    for path in (csv_path, plot_path):
+        if path is not None:
+            _open_output(path, "a").close()
     records = []
     prev = None
     for r_core in r_cores:
-        initial = None
-        problem = None
-        if warm_start and prev is not None and prev[1] is not None:
-            problem = _build_problem(r_core, gamma, norm)
-            initial = _warm_initial(problem, *prev)
-        record, problem, state = _solve_point(r_core, gamma, norm, options,
-                                              initial, problem, record_errors=True)
+        record, problem, state = _solve_point(r_core, gamma, norm, options, prev,
+                                              record_errors=True)
         records.append(record)
-        prev = (problem, state) if state is not None else None
+        if warm_start:
+            prev = (problem, state) if state is not None else None
         if progress is not None:
             progress(record)
     if csv_path is not None:
@@ -219,8 +229,3 @@ def fit_rate(records) -> float:
     dof = np.log([p[0] for p in pts])
     err = np.log([p[1] for p in pts])
     return float(np.polyfit(dof, err, 1)[0])
-
-
-def strip_timing(records) -> list[ConvergenceRecord]:
-    """Copies with wall_time zeroed, for reproducible golden output."""
-    return [replace(r, wall_time=0.0) for r in records]

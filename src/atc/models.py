@@ -22,6 +22,7 @@ from . import domain
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks
 from .exceptions import UsageError
 from .potentials import (
+    INTERACTION_RANGE,
     cauchy_born_d1,
     cauchy_born_d2,
     cauchy_born_d3,
@@ -165,7 +166,7 @@ class AtomisticModel:
         self.dec = dec
         self.sites = dec.atomistic_sites
         self.n = len(self.sites)
-        m = dec.margin
+        m = INTERACTION_RANGE
         # index ranges within the site array
         self.energy_idx = np.arange(m, self.n - m)            # interior sites
         self.test_idx = np.arange(2 * m, self.n - 2 * m)      # equilibrium sites
@@ -234,15 +235,11 @@ class ContinuumSide:
         self._zero = np.zeros(self.n - 1)
         self.load = np.zeros(self.n)
 
-    # free nodes exclude the outer Dirichlet node; test nodes additionally
-    # exclude the inner boundary node, which is a coupling control
+    # free nodes exclude the outer Dirichlet node; the equilibrium equations
+    # (nodes 1 .. n-2) also exclude the inner boundary node, a coupling control
     @property
     def free_slice(self) -> slice:
         return slice(1, None) if self.outer_first else slice(0, -1)
-
-    @property
-    def test_slice(self) -> slice:
-        return slice(1, -1)
 
     def embed(self, u_free) -> np.ndarray:
         u = np.zeros(self.n)
@@ -351,19 +348,3 @@ class ContinuumModel:
             i = j
         for side, (left, right) in sums.items():
             side.load = left + right
-
-    def energy(self, u_minus_free, u_plus_free) -> float:
-        return (self.minus.energy(self.minus.embed(u_minus_free))
-                + self.plus.energy(self.plus.embed(u_plus_free)))
-
-    def gradient(self, u_minus_free, u_plus_free) -> tuple[np.ndarray, np.ndarray]:
-        """Energy derivative with respect to the free nodal values, per side."""
-        gm = self.minus.gradient(self.minus.embed(u_minus_free))
-        gp = self.plus.gradient(self.plus.embed(u_plus_free))
-        return gm[self.minus.free_slice], gp[self.plus.free_slice]
-
-    def equilibrium_residual(self, u_minus_free, u_plus_free):
-        """Gradient components at the interior test nodes, per side."""
-        gm = self.minus.gradient(self.minus.embed(u_minus_free))
-        gp = self.plus.gradient(self.plus.embed(u_plus_free))
-        return gm[self.minus.test_slice], gp[self.plus.test_slice]

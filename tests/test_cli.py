@@ -175,18 +175,31 @@ def rate_csv(*rows):
     ("rate", rate_csv((0, "2e-6", "true")), "{path}:5: converged row needs"),
     ("rate", CSV_HEADER + "\n" + "4,8,182,45,1e-4,0.1,0.0,6,1e-14,0.02,true\n" * 3,
      "two or more distinct dof"),
+    ("run", "r-core=4\ngamma=1.5\nout={path}.d/x.csv\n",
+     "No such file or directory: '{path}.d/x.csv'"),
+    ("sweep", "r-core=4\ngamma=1.5\nout={path}.d/x.csv\n",
+     "No such file or directory: '{path}.d/x.csv'"),
+    ("sweep", "r-core=4\ngamma=1.5\nplot-data={path}.d/x.dat\n",
+     "No such file or directory: '{path}.d/x.dat'"),
+    ("run", b"r-core=4\ngamma=1.5\n# \xff\n", "{path}: not valid UTF-8"),
+    ("rate", CSV_HEADER.encode() + b"\n\xff\n", "{path}: not valid UTF-8"),
 ], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "sweep-r-core-comma",
         "sweep-r-core-empty", "rate-missing-file",
         "rate-bad-field", "rate-converged-yes", "rate-zero-err", "rate-nan-err",
-        "rate-zero-dof", "rate-equal-dof"])
+        "rate-zero-dof", "rate-equal-dof", "run-out-unwritable", "sweep-out-unwritable",
+        "sweep-plot-data-unwritable", "config-not-utf8", "rate-not-utf8"])
 def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys):
     path = tmp_path / "input.txt"
-    if text is not None:
-        path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text.format(path=path))
     args = [command, str(path)] if command == "rate" else [command, "--config", str(path)]
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert message.format(path=path) in err
+    # a sweep checks its inputs and outputs before it solves its first point
+    assert "r_core=" not in err
 
 
 def test_non_convergence_exit_code(capsys):

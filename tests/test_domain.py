@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from atc import (
+    AtomisticModel,
     DomainDecomposition,
     GradedMesh,
     IllPosedParametersError,
@@ -21,6 +22,7 @@ from atc import (
     optimal_radii,
     solve_full_atomistic,
 )
+from atc.potentials import INTERACTION_RANGE
 
 # from the high-precision replay below, r_core=10, gamma=1.5, energy norm
 NODES_10 = 115
@@ -125,18 +127,20 @@ def test_mesh_size_monotone_and_one_at_inner_edge():
 def test_decomposition_invariants():
     dec = make_decomposition(10, 1.5)
     assert dec.r_core < dec.r_a < dec.r_c
-    assert dec.r_a - dec.r_core >= 2 * dec.margin
+    assert dec.r_a - dec.r_core >= 2 * INTERACTION_RANGE
     np.testing.assert_array_equal(dec.atomistic_sites, np.arange(-20, 21))
-    np.testing.assert_array_equal(dec.interior_sites, np.arange(-18, 19))
-    np.testing.assert_array_equal(dec.equilibrium_sites, np.arange(-16, 17))
     assert dec.overlap_intervals == ((-20, -10), (10, 20))
-    # core region sits strictly inside the twice-interior set
-    assert dec.r_core <= dec.equilibrium_sites.max()
+    # energies are summed on the interior sites, equations imposed on the
+    # twice-interior ones, which reach past the core region
+    model = AtomisticModel(dec)
+    np.testing.assert_array_equal(model.sites[model.energy_idx], np.arange(-18, 19))
+    np.testing.assert_array_equal(model.sites[model.test_idx], np.arange(-16, 17))
+    assert dec.r_core <= model.sites[model.test_idx].max()
 
 
 def test_decomposition_validation():
     with pytest.raises(UsageError):
-        DomainDecomposition(10, 13, 50)  # overlap width 3 < 2*margin
+        DomainDecomposition(10, 13, 50)  # overlap width 3 < 2 * INTERACTION_RANGE
     with pytest.raises(UsageError):
         DomainDecomposition(10, 20, 20)
     with pytest.raises(UsageError):

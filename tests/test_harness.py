@@ -1,11 +1,13 @@
 """Record bookkeeping, CSV round trips, rate fitting, sweep behavior."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 import atc.coupling
+import atc.harness
 from atc import (
     ConfigurationError,
     ConvergenceRecord,
@@ -19,8 +21,13 @@ from atc import (
     write_csv,
     write_plot_data,
 )
-from atc.harness import CSV_HEADER, _build_problem, _warm_initial, strip_timing
+from atc.harness import CSV_HEADER, _build_problem, _warm_initial
 from conftest import GAMMA
+
+
+def untimed(records):
+    """The records with wall_time zeroed: every other column is reproducible."""
+    return [dataclasses.replace(r, wall_time=0.0) for r in records]
 
 
 def fake_record(dof, err, r_core=10):
@@ -103,7 +110,7 @@ def test_sweep_singleton_matches_run_single():
     single = run_single(5, GAMMA)
     sweep = run_sweep([5], GAMMA)
     assert len(sweep) == 1
-    assert strip_timing(sweep) == strip_timing([single])
+    assert untimed(sweep) == untimed([single])
 
 
 def test_sweep_empty_list():
@@ -116,8 +123,8 @@ def test_sweep_deterministic_output(tmp_path):
     b = run_sweep([4, 5], GAMMA)
     # timing is a measurement and cannot be bitwise stable; all value
     # columns must be
-    csv_a = records_to_csv(strip_timing(a))
-    csv_b = records_to_csv(strip_timing(b))
+    csv_a = records_to_csv(untimed(a))
+    csv_b = records_to_csv(untimed(b))
     assert csv_a == csv_b
 
 
@@ -130,6 +137,20 @@ def test_sweep_warm_start_reaches_same_solution():
     for c, w in zip(cold, warm):
         assert abs(c.err_l2 - w.err_l2) < 1e-8
         assert w.newton_iters <= c.newton_iters
+
+
+def test_warm_sweep_wall_time_covers_build_and_seed(monkeypatch):
+    # a warm point is built and seeded inside its own clock, as a cold one is
+    build = atc.harness._build_problem
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(atc.harness, "_build_problem", slow_build)
+    records = run_sweep([4, 5, 6], GAMMA, warm_start=True)
+    assert all(r.converged for r in records)
+    assert all(r.wall_time >= 0.05 for r in records), [r.wall_time for r in records]
 
 
 def test_warm_seed_samples_the_previous_composite():
@@ -152,12 +173,10 @@ def test_warm_seed_samples_the_previous_composite():
     assert np.array_equal(seed.vector, expect.vector)
 
 
-def test_sweep_records_failures_and_continues():
-    from atc import NewtonOptions
-
+def test_sweep_records_failures_and_continues(monkeypatch):
     # one iteration is never enough; every point must be flagged, none raise
-    starved = NewtonOptions(max_iterations=1)
-    records = run_sweep([4, 5], GAMMA, options=starved)
+    monkeypatch.setattr(atc.coupling, "MAX_ITERATIONS", 1)
+    records = run_sweep([4, 5], GAMMA)
     assert len(records) == 2
     assert all(not r.converged for r in records)
     assert all(np.isnan(r.err_l2) for r in records)
@@ -173,10 +192,10 @@ def test_sweep_records_solver_errors_and_continues(monkeypatch, error):
     solve = atc.coupling.solve_kkt_linear
     failing_size = _build_problem(5, GAMMA, "energy").layout.total
 
-    def solve_or_fail(system, rhs, residual_bound=1e-10):
+    def solve_or_fail(matrix, rhs):
         if len(rhs) == failing_size:
             raise error("forced failure")
-        return solve(system, rhs, residual_bound)
+        return solve(matrix, rhs)
 
     monkeypatch.setattr(atc.coupling, "solve_kkt_linear", solve_or_fail)
     records = run_sweep([4, 5, 6], GAMMA)
