@@ -95,9 +95,9 @@ def _cmd_run(args) -> int:
     r_cores = _parse_r_cores(_require(merged, "r-core"))
     if len(r_cores) != 1:
         raise UsageError(f"run takes one core radius, got {merged['r-core']!r}")
-    record = harness.run_single(
-        r_cores[0], float(_require(merged, "gamma")),
-        norm=merged.get("norm", "energy"), options=_options(merged))
+    gamma, norm = float(_require(merged, "gamma")), merged.get("norm", "energy")
+    harness.check_inputs(r_cores, gamma, norm, (merged.get("out"),))
+    record = harness.run_single(r_cores[0], gamma, norm=norm, options=_options(merged))
     print(f"r_core={record.r_core} r_a={record.r_a} r_c={record.r_c} "
           f"dof={record.dof} err_l2={record.err_l2:.6e} err_inf={record.err_inf:.6e} "
           f"iters={record.newton_iters} residual={record.residual:.3e} "

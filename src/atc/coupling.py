@@ -166,18 +166,15 @@ def solve_kkt_linear(matrix, rhs):
 
 def _condition_estimate(matrix, lu, scale):
     """One-norm condition estimate from the LU; cheap but adequate for diagnostics."""
-    try:
-        n = matrix.shape[0]
-        # the operator is applied to (n, 1) columns; scaled unflattened, they
-        # would broadcast against the (n,) scale to (n, n)
-        inv_op = spla.LinearOperator(
-            (n, n),
-            matvec=lambda v: scale * lu.solve(scale * np.ravel(v)),
-            rmatvec=lambda v: scale * lu.solve(scale * np.ravel(v), trans="T"),
-        )
-        return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
-    except Exception:
-        return None
+    n = matrix.shape[0]
+    # the operator is applied to (n, 1) columns; scaled unflattened, they
+    # would broadcast against the (n,) scale to (n, n)
+    inv_op = spla.LinearOperator(
+        (n, n),
+        matvec=lambda v: scale * lu.solve(scale * np.ravel(v)),
+        rmatvec=lambda v: scale * lu.solve(scale * np.ravel(v), trans="T"),
+    )
+    return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
 
 
 class CoupledProblem:

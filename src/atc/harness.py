@@ -8,7 +8,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .coupling import CoupledProblem, NewtonOptions, SystemState
-from .domain import build_graded_mesh, count_dof, lattice_chunks, make_decomposition
+from .domain import (build_graded_mesh, count_dof, lattice_chunks, make_decomposition,
+                     optimal_radii)
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
 from .models import exact_solution
 
@@ -189,6 +190,17 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
     return state
 
 
+def check_inputs(r_cores, gamma: float, norm: str, paths) -> None:
+    """Raise a UsageError for an invalid radius or an output path that cannot
+    be opened; optimal_radii is arithmetic, so this solves nothing.
+    """
+    for r_core in r_cores:
+        optimal_radii(r_core, gamma, norm=norm)
+    for path in paths:
+        if path is not None:
+            _open_output(path, "a").close()
+
+
 def run_sweep(r_cores, gamma: float, norm: str = "energy",
               options: NewtonOptions | None = None, warm_start: bool = False,
               csv_path=None, plot_path=None,
@@ -197,11 +209,11 @@ def run_sweep(r_cores, gamma: float, norm: str = "energy",
 
     A non-converged Newton run, a failed linear solve or an unevaluable state
     gives a record with converged false and NaN errors; a UsageError raises.
-    An output path that cannot be opened raises before the first solve.
+    An invalid radius or an output path that cannot be opened raises before
+    the first solve.
     """
-    for path in (csv_path, plot_path):
-        if path is not None:
-            _open_output(path, "a").close()
+    r_cores = list(r_cores)
+    check_inputs(r_cores, gamma, norm, (csv_path, plot_path))
     records = []
     prev = None
     for r_core in r_cores:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from atc import read_csv
+from atc import harness, read_csv
 from atc.cli import main
 
 
@@ -160,6 +160,10 @@ def rate_csv(*rows):
         f"4,8,182,{dof},{err},0.1,0.0,6,1e-14,0.02,{conv}\n" for dof, err, conv in rows)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a problem was built before the inputs were checked")
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("run", "r-core=abc\ngamma=1.5\n", "{path}:1: bad value for r-core"),
     ("run", "r-core=10\ngamma=abc\n", "{path}:2: bad value for gamma"),
@@ -188,7 +192,10 @@ def rate_csv(*rows):
         "rate-bad-field", "rate-converged-yes", "rate-zero-err", "rate-nan-err",
         "rate-zero-dof", "rate-equal-dof", "run-out-unwritable", "sweep-out-unwritable",
         "sweep-plot-data-unwritable", "config-not-utf8", "rate-not-utf8"])
-def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys):
+def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys,
+                                       monkeypatch):
+    # run and sweep check their inputs and outputs before they build a problem
+    monkeypatch.setattr(harness, "_build_problem", _no_solve)
     path = tmp_path / "input.txt"
     if isinstance(text, bytes):
         path.write_bytes(text)
@@ -200,6 +207,18 @@ def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys
     assert message.format(path=path) in err
     # a sweep checks its inputs and outputs before it solves its first point
     assert "r_core=" not in err
+
+
+def test_sweep_checks_every_radius_before_solving(tmp_path, capsys, monkeypatch):
+    # r_core 3 is too small; the valid 4 and 5 before it are not solved and
+    # no output file is left behind
+    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli(["sweep", "--r-core", "4,5,3", "--gamma", "1.5",
+                            "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "r_core=3 too small" in err
+    assert not out_file.exists()
 
 
 def test_non_convergence_exit_code(capsys):
