@@ -5,7 +5,6 @@ from .coupling import (
     CoupledProblem,
     KktSystem,
     NewtonDiagnostics,
-    NewtonOptions,
     SystemState,
     solve_kkt_linear,
 )

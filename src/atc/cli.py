@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import harness
-from .coupling import NewtonOptions
+from .coupling import DEFAULT_TOLERANCE
 from .exceptions import AtcError, NonConvergenceError, UsageError
 
 
@@ -68,12 +68,6 @@ def _merged(args, config_path) -> dict:
     return merged
 
 
-def _options(merged) -> NewtonOptions:
-    if "tol" in merged:
-        return NewtonOptions(tolerance=merged["tol"])
-    return NewtonOptions()
-
-
 def _require(merged, key):
     if key not in merged:
         raise UsageError(f"missing required option --{key}")
@@ -96,8 +90,9 @@ def _cmd_run(args) -> int:
     if len(r_cores) != 1:
         raise UsageError(f"run takes one core radius, got {merged['r-core']!r}")
     gamma, norm = float(_require(merged, "gamma")), merged.get("norm", "energy")
-    harness.check_inputs(r_cores, gamma, norm, (merged.get("out"),))
-    record = harness.run_single(r_cores[0], gamma, norm=norm, options=_options(merged))
+    tolerance = merged.get("tol", DEFAULT_TOLERANCE)
+    harness.check_inputs(r_cores, gamma, norm, tolerance, (merged.get("out"),))
+    record = harness.run_single(r_cores[0], gamma, norm=norm, tolerance=tolerance)
     print(f"r_core={record.r_core} r_a={record.r_a} r_c={record.r_c} "
           f"dof={record.dof} err_l2={record.err_l2:.6e} err_inf={record.err_inf:.6e} "
           f"iters={record.newton_iters} residual={record.residual:.3e} "
@@ -112,7 +107,7 @@ def _cmd_sweep(args) -> int:
     r_cores = _parse_r_cores(_require(merged, "r-core"))
     records = harness.run_sweep(
         r_cores, float(_require(merged, "gamma")),
-        norm=merged.get("norm", "energy"), options=_options(merged),
+        norm=merged.get("norm", "energy"), tolerance=merged.get("tol", DEFAULT_TOLERANCE),
         warm_start=bool(merged.get("warm-start", False)),
         csv_path=merged.get("out"), plot_path=merged.get("plot-data"),
         progress=lambda r: print(

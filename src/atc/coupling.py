@@ -43,26 +43,13 @@ DAMPING_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-12
 
-# Newton gives up after this many steps.
+# Newton stops once the inf-norm residual is below the tolerance, by default
+# this one, and gives up after MAX_ITERATIONS steps.
+DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 50
 
 # Every saddle-point solve must meet this relative residual (inf norm).
 KKT_RESIDUAL_BOUND = 1e-10
-
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Damped Newton controls: stop below tolerance, or fail after MAX_ITERATIONS.
-
-    Every step uses the full Hessian of the stationarity functional, with
-    the adjoint-contracted third-derivative terms in the displacement blocks.
-    """
-
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise UsageError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 class BlockLayout:
@@ -177,6 +164,58 @@ def _condition_estimate(matrix, lu, scale):
     return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise a UsageError unless the Newton tolerance is finite and positive."""
+    if not 0.0 < tolerance < np.inf:
+        raise UsageError(f"tolerance must be finite and positive, got {tolerance}")
+
+
+def damped_newton(x0, gradient, step, tolerance: float, diagnostics=None):
+    """Damped Newton from x0 until the inf norm of gradient(x) is below tolerance.
+
+    step(x, g) returns the Newton step at x, where the gradient is g.  Each
+    step backtracks by DAMPING_FACTOR until the residual falls by the fraction
+    SUFFICIENT_DECREASE * alpha; a trial whose gradient raises
+    ConfigurationError counts as rejected.  Fills diagnostics (a new
+    NewtonDiagnostics by default) and returns (x, diagnostics); raises
+    NonConvergenceError after MAX_ITERATIONS steps or a step below MIN_STEP.
+    """
+    check_tolerance(tolerance)
+    diag = diagnostics if diagnostics is not None else NewtonDiagnostics()
+    x, grad = x0, gradient(x0)
+    res = float(np.max(np.abs(grad)))
+    diag.residuals.append(res)
+
+    # written so that a NaN residual is not taken for convergence
+    while not res < tolerance:
+        if diag.iterations >= MAX_ITERATIONS:
+            raise NonConvergenceError(
+                f"no convergence in {MAX_ITERATIONS} iterations (residual {res:.3e})",
+                residual_history=diag.residuals, diagnostics=diag)
+        direction = step(x, grad)
+        alpha = 1.0
+        while alpha >= MIN_STEP:
+            trial = x + alpha * direction
+            try:
+                grad_new = gradient(trial)
+                res_new = float(np.max(np.abs(grad_new)))
+            except ConfigurationError:
+                res_new = np.inf
+            if res_new <= (1.0 - SUFFICIENT_DECREASE * alpha) * res:
+                break
+            alpha *= DAMPING_FACTOR
+        else:
+            raise NonConvergenceError(
+                f"line search failed at residual {res:.3e}",
+                residual_history=diag.residuals, diagnostics=diag)
+        x, grad, res = trial, grad_new, res_new
+        diag.residuals.append(res)
+        diag.step_lengths.append(alpha)
+
+    diag.converged = True
+    return x, diag
+
+
 class CoupledProblem:
     """Assembles and solves the coupled problem on one decomposition."""
 
@@ -185,7 +224,15 @@ class CoupledProblem:
         self.dec = dec
         self.mesh = mesh
         self.gamma = gamma
-        self.force = force if force is not None else manufacture_forces(gamma, dec)
+        if force is None:
+            force = manufacture_forces(gamma, dec)
+        # the force is fixed by gamma and r_a; one built for other values
+        # gives a wrong answer without any error
+        elif force.gamma != gamma or len(force.values) != 2 * dec.r_a + 1:
+            raise UsageError(
+                f"force built for gamma {force.gamma} on {len(force.values)} atomistic "
+                f"sites; this problem has gamma {gamma} and {2 * dec.r_a + 1}")
+        self.force = force
         self.atomistic = AtomisticModel(dec, self.force)
         self.continuum = ContinuumModel(dec, mesh, self.force)
         minus, plus = self.continuum.minus, self.continuum.plus
@@ -352,54 +399,27 @@ class CoupledProblem:
     # ---------------- solver ----------------
 
     def newton_solve(self, initial: SystemState | None = None,
-                     options: NewtonOptions | None = None):
-        """Damped Newton on the stationarity system from the given state.
+                     tolerance: float = DEFAULT_TOLERANCE):
+        """Damped Newton (damped_newton) on the stationarity system from a state.
 
-        Backtracks on the inf norm of the gradient; a trial step that makes
-        the configuration unevaluable counts as rejected.  Raises
-        NonConvergenceError when the iteration or step budget is exhausted.
+        Each step solves the KKT system of lagrangian_hessian and records its
+        relative residual.  Returns (state, NewtonDiagnostics); the state
+        never shares memory with initial.
         """
-        opts = options or NewtonOptions()
-        state = initial.copy() if initial is not None else self.zero_state()
         diag = NewtonDiagnostics()
-        grad = self.lagrangian_gradient(state)
-        res = float(np.max(np.abs(grad)))
-        diag.residuals.append(res)
 
-        while res >= opts.tolerance:
-            if diag.iterations >= MAX_ITERATIONS:
-                raise NonConvergenceError(
-                    f"no convergence in {MAX_ITERATIONS} iterations "
-                    f"(residual {res:.3e})",
-                    residual_history=diag.residuals, diagnostics=diag)
-            system = self.lagrangian_hessian(state)
+        def gradient(vector):
+            return self.lagrangian_gradient(SystemState(self.layout, vector))
+
+        def kkt_step(vector, grad):
+            system = self.lagrangian_hessian(SystemState(self.layout, vector))
             step, rel = solve_kkt_linear(system.matrix, -grad)
             diag.kkt_residuals.append(rel)
+            return step
 
-            alpha = 1.0
-            accepted = False
-            while alpha >= MIN_STEP:
-                trial = SystemState(self.layout, state.vector + alpha * step)
-                try:
-                    grad_new = self.lagrangian_gradient(trial)
-                    res_new = float(np.max(np.abs(grad_new)))
-                except ConfigurationError:
-                    res_new = np.inf
-                if res_new <= (1.0 - SUFFICIENT_DECREASE * alpha) * res:
-                    accepted = True
-                    break
-                alpha *= DAMPING_FACTOR
-            if not accepted:
-                raise NonConvergenceError(
-                    f"line search failed at residual {res:.3e}",
-                    residual_history=diag.residuals, diagnostics=diag)
-
-            state, grad, res = trial, grad_new, res_new
-            diag.residuals.append(res)
-            diag.step_lengths.append(alpha)
-
-        diag.converged = True
-        return state, diag
+        x0 = initial.vector.copy() if initial is not None else self.zero_state().vector
+        vector, diag = damped_newton(x0, gradient, kkt_step, tolerance, diag)
+        return SystemState(self.layout, vector), diag
 
     # ---------------- composite solution ----------------
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coupling import CoupledProblem, NewtonOptions, SystemState
+from .coupling import DEFAULT_TOLERANCE, CoupledProblem, SystemState, check_tolerance
 from .domain import (build_graded_mesh, count_dof, lattice_chunks, make_decomposition,
                      optimal_radii)
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
@@ -134,7 +134,7 @@ def _build_problem(r_core, gamma, norm) -> CoupledProblem:
     return CoupledProblem(dec, mesh, gamma)
 
 
-def _solve_point(r_core, gamma, norm, options, prev=None, record_errors=False):
+def _solve_point(r_core, gamma, norm, tolerance, prev=None, record_errors=False):
     """Build, seed, solve and measure one point, all inside wall_time.
 
     prev, the (problem, state) of a solved point, seeds a warm start.  A
@@ -147,10 +147,9 @@ def _solve_point(r_core, gamma, norm, options, prev=None, record_errors=False):
     initial = _warm_initial(problem, *prev) if prev is not None else None
     mesh = problem.mesh
     dec = problem.dec
-    opts = options or NewtonOptions()
     state = None
     try:
-        state, diag = problem.newton_solve(initial, opts)
+        state, diag = problem.newton_solve(initial, tolerance)
     except NonConvergenceError as err:
         diag = err.diagnostics
     except (ConfigurationError, KktSolverError):
@@ -173,9 +172,9 @@ def _solve_point(r_core, gamma, norm, options, prev=None, record_errors=False):
 
 
 def run_single(r_core: int, gamma: float, norm: str = "energy",
-               options: NewtonOptions | None = None) -> ConvergenceRecord:
+               tolerance: float = DEFAULT_TOLERANCE) -> ConvergenceRecord:
     """Build, solve and measure one coupled problem."""
-    record, _, _ = _solve_point(r_core, gamma, norm, options)
+    record, _, _ = _solve_point(r_core, gamma, norm, tolerance)
     return record
 
 
@@ -190,10 +189,11 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
     return state
 
 
-def check_inputs(r_cores, gamma: float, norm: str, paths) -> None:
-    """Raise a UsageError for an invalid radius or an output path that cannot
-    be opened; optimal_radii is arithmetic, so this solves nothing.
+def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> None:
+    """Raise a UsageError for an invalid tolerance or radius, or an output path
+    that cannot be opened; optimal_radii is arithmetic, so this solves nothing.
     """
+    check_tolerance(tolerance)
     for r_core in r_cores:
         optimal_radii(r_core, gamma, norm=norm)
     for path in paths:
@@ -202,22 +202,22 @@ def check_inputs(r_cores, gamma: float, norm: str, paths) -> None:
 
 
 def run_sweep(r_cores, gamma: float, norm: str = "energy",
-              options: NewtonOptions | None = None, warm_start: bool = False,
+              tolerance: float = DEFAULT_TOLERANCE, warm_start: bool = False,
               csv_path=None, plot_path=None,
               progress=None) -> list[ConvergenceRecord]:
     """Solve a sequence of core radii; solver failures are recorded, not raised.
 
     A non-converged Newton run, a failed linear solve or an unevaluable state
     gives a record with converged false and NaN errors; a UsageError raises.
-    An invalid radius or an output path that cannot be opened raises before
-    the first solve.
+    An invalid tolerance or radius, or an output path that cannot be opened,
+    raises before the first solve.
     """
     r_cores = list(r_cores)
-    check_inputs(r_cores, gamma, norm, (csv_path, plot_path))
+    check_inputs(r_cores, gamma, norm, tolerance, (csv_path, plot_path))
     records = []
     prev = None
     for r_core in r_cores:
-        record, problem, state = _solve_point(r_core, gamma, norm, options, prev,
+        record, problem, state = _solve_point(r_core, gamma, norm, tolerance, prev,
                                               record_errors=True)
         records.append(record)
         if warm_start:

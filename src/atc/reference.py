@@ -4,7 +4,10 @@ The reference problem minimizes the full lattice energy over displacements
 supported on the truncated domain (zero outside), with the manufactured
 forces applied at every site.  Its Hessian couples sites at most two apart,
 so each Newton step is a banded LU solve (five diagonals, partial pivoting)
-in time and memory linear in the number of sites.
+in time and memory linear in the number of sites.  The iteration itself is
+coupling.damped_newton, the loop of the coupled solve; the unknowns, the
+energy, the band assembly and the LU are the oracle's own, and they are what
+keeps the cross-check independent.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
@@ -21,8 +24,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
+from .coupling import DEFAULT_TOLERANCE, damped_newton
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
-from .exceptions import ConfigurationError, NonConvergenceError, UsageError
+from .exceptions import UsageError
 from .models import (exact_solution, exact_solution_derivative, force_values,
                      stencil_gradient, stencil_triplets)
 from .potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
@@ -57,11 +61,10 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
 
     All sites of the domain are unknowns; the displacement is zero outside,
     so site energies whose stencils cross the boundary see the zero
-    extension.  The manufactured forces of gamma are applied.  Newton stops
-    once the inf-norm residual is below 1e-10 and gives up after 50
-    iterations; these controls are the oracle's own, independent of
-    NewtonOptions.  Every site is held, so a domain that would not fit in
-    physical memory is rejected first.
+    extension.  The manufactured forces of gamma are applied.  Newton runs
+    from zero with coupling.damped_newton at coupling.DEFAULT_TOLERANCE, so
+    it stops and gives up where the coupled solve does.  Every site is held,
+    so a domain that would not fit in physical memory is rejected first.
     """
     require_memory("the full-lattice solve", 2 * dec.r_c + 1)
     sites = dec.sites
@@ -84,40 +87,14 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
         vf, vb = site_gradient_arrays(*differences(u))
         return stencil_gradient(n + 2 * pad, *stencil, vf, vb)[pad:-pad] - forces
 
-    def hessian_band(u):
+    def banded_step(u, g):
         cff, cfb, cbb = site_hessian_arrays(*differences(u))
         ab = band_from_triplets(n + 2 * pad, *stencil_triplets(*stencil, cff, cfb, cbb))
         # the padded block; LAPACK never reads the corners this leaves behind
-        return ab[:, pad:-pad]
+        return solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), ab[:, pad:-pad], -g)
 
-    u = np.zeros(n)
-    res_hist = []
-    for it in range(51):
-        g = residual_vec(u)
-        res = float(np.max(np.abs(g)))
-        res_hist.append(res)
-        if res < 1e-10:
-            return ReferenceSolution(sites, u, res, it)
-        if it == 50:
-            break
-        step = solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), hessian_band(u), -g)
-        alpha = 1.0
-        while alpha >= 1e-12:
-            try:
-                res_trial = np.max(np.abs(residual_vec(u + alpha * step)))
-            except ConfigurationError:
-                res_trial = np.inf
-            if res_trial <= (1.0 - 1e-4 * alpha) * res:
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"reference line search failed at residual {res:.3e}",
-                residual_history=res_hist)
-        u = u + alpha * step
-    raise NonConvergenceError(
-        f"reference solve stalled at residual {res_hist[-1]:.3e}",
-        residual_history=res_hist)
+    u, diag = damped_newton(np.zeros(n), residual_vec, banded_step, DEFAULT_TOLERANCE)
+    return ReferenceSolution(sites, u, diag.residuals[-1], diag.iterations)
 
 
 def _difference_field(u, reference):

@@ -11,7 +11,6 @@ import pytest
 from atc import (
     CoupledProblem,
     DomainDecomposition,
-    NewtonOptions,
     SystemState,
     build_graded_mesh,
     cauchy_born_energy_density,

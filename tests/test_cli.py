@@ -221,6 +221,19 @@ def test_sweep_checks_every_radius_before_solving(tmp_path, capsys, monkeypatch)
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_nan_tol_is_checked_before_solving(command, tmp_path, capsys, monkeypatch):
+    # the tolerance is checked with the radii, before a problem is built or
+    # the output file is opened
+    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli([command, "--r-core", "10", "--gamma", "1.5", "--tol", "nan",
+                            "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "tolerance" in err
+    assert not out_file.exists()
+
+
 def test_non_convergence_exit_code(capsys):
     # an unreachable tolerance (below the roundoff floor) leaves every
     # point unconverged: recorded, reported, exit code 3

@@ -6,16 +6,19 @@ import scipy.sparse as sp
 
 import atc.coupling
 from atc import (
+    AtcError,
     CoupledProblem,
     KktSolverError,
-    NewtonOptions,
+    NewtonDiagnostics,
     NonConvergenceError,
     SystemState,
     UsageError,
     build_graded_mesh,
     exact_solution,
     make_decomposition,
+    manufacture_forces,
     measure_errors,
+    solve_full_atomistic,
     solve_kkt_linear,
 )
 from conftest import GAMMA, fd_gradient, random_state, rel_err_inf
@@ -328,6 +331,7 @@ def test_newton_restarts_from_converged_state(problem_10, solved_10):
     assert diag2.converged
     assert diag2.iterations == 0
     np.testing.assert_array_equal(state2.vector, state.vector)
+    assert not np.shares_memory(state2.vector, state.vector)
 
 
 def test_newton_all_gradient_blocks_small_at_solution(problem_10, solved_10):
@@ -338,17 +342,51 @@ def test_newton_all_gradient_blocks_small_at_solution(problem_10, solved_10):
         assert np.max(np.abs(g[layout[name]])) < 1e-10, name
 
 
-def test_newton_iteration_budget(monkeypatch, small_problem):
-    monkeypatch.setattr(atc.coupling, "MAX_ITERATIONS", 2)
-    with pytest.raises(NonConvergenceError, match="no convergence in 2 iterations") as err:
-        small_problem.newton_solve()
-    assert len(err.value.residual_history) == 3
+@pytest.mark.parametrize("solver", ["newton_solve", "solve_full_atomistic"])
+@pytest.mark.parametrize("constant,value,message,residuals", [
+    ("MAX_ITERATIONS", 2, "no convergence in 2 iterations", 3),
+    ("MIN_STEP", 2.0, "line search failed", 1),
+], ids=["iteration-budget", "line-search"])
+def test_newton_failure_paths(monkeypatch, small_problem, solver, constant, value,
+                              message, residuals):
+    # the coupled solve and the oracle share one Newton loop and its limits
+    monkeypatch.setattr(atc.coupling, constant, value)
+    with pytest.raises(NonConvergenceError, match=message) as err:
+        if solver == "newton_solve":
+            small_problem.newton_solve()
+        else:
+            solve_full_atomistic(small_problem.dec, GAMMA)
+    diag = err.value.diagnostics
+    assert isinstance(diag, NewtonDiagnostics) and not diag.converged
+    assert err.value.residual_history == diag.residuals
+    assert len(diag.residuals) == residuals
 
 
-def test_newton_options_validation():
+def test_newton_does_not_converge_on_a_nan_residual(small_problem):
+    # NaN compares false with the tolerance, which is not convergence
+    state = small_problem.zero_state()
+    state.lam_a[0] = np.nan
+    with pytest.raises(AtcError):
+        small_problem.newton_solve(state)
+
+
+def test_newton_tolerance_validation(problem_10):
     for tol in (0.0, -1e-10, np.nan, np.inf):
-        with pytest.raises(UsageError):
-            NewtonOptions(tolerance=tol)
+        with pytest.raises(UsageError, match="tolerance"):
+            problem_10.newton_solve(tolerance=tol)
+
+
+@pytest.mark.parametrize("gamma,r_core", [(3.0, 10), (GAMMA, 12)],
+                         ids=["other-gamma", "other-window"])
+def test_force_of_another_problem_is_usage_error(gamma, r_core):
+    # the force depends on gamma and r_a only; one built for other values
+    # would solve without error to a wrong err_l2 (0.0433 and 0.134, not 1.07e-4)
+    dec = make_decomposition(10, GAMMA)
+    mesh = build_graded_mesh(dec, GAMMA)
+    CoupledProblem(dec, mesh, GAMMA, force=manufacture_forces(GAMMA, dec))
+    other = dec if r_core == 10 else make_decomposition(r_core, gamma)
+    with pytest.raises(UsageError, match="force built for"):
+        CoupledProblem(dec, mesh, GAMMA, force=manufacture_forces(gamma, other))
 
 
 @pytest.mark.parametrize("gamma,r_core", sorted(RECORDED_COLD_SOLVES))

@@ -23,6 +23,14 @@ from atc.reference import band_from_triplets, coarsening_term_sq, truncation_tai
 from conftest import GAMMA
 
 
+# r_core -> (iterations, energy_seminorm_error of the values against the
+# exact field) of the oracle at gamma 1.5, recorded at commit 79221da
+RECORDED_ORACLE_SOLVES = {
+    10: (6, 7.924878087623945e-05),
+    20: (6, 1.3980674153156298e-05),
+}
+
+
 def small_dec(r_c):
     return DomainDecomposition(10, 20, r_c)
 
@@ -35,6 +43,17 @@ def test_full_atomistic_converges_with_small_residual():
     assert len(ref.values) == len(dec.sites)
     # antisymmetric problem, antisymmetric solution
     np.testing.assert_allclose(ref.values, -ref.values[::-1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r_core", sorted(RECORDED_ORACLE_SOLVES))
+def test_oracle_reproduces_recorded_numerics(r_core):
+    # guards the floating-point path of the oracle, as
+    # test_cold_solve_reproduces_recorded_numerics guards the coupled one
+    iters, err = RECORDED_ORACLE_SOLVES[r_core]
+    ref = solve_full_atomistic(make_decomposition(r_core, GAMMA), GAMMA)
+    assert ref.iterations == iters
+    assert (energy_seminorm_error(ref.values, exact_solution(ref.sites, GAMMA))
+            == pytest.approx(err, rel=1e-12, abs=0.0))
 
 
 def test_band_holds_the_stencil_hessian_bit_for_bit():
