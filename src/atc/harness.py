@@ -140,8 +140,10 @@ def _solve_point(r_core, gamma, norm, tolerance, prev=None, record_errors=False)
     prev, the (problem, state) of a solved point, seeds a warm start.  A
     NonConvergenceError gives an unconverged record; with record_errors, so
     do a failed linear solve and an unevaluable state, and that record has
-    no iterations and a NaN residual.
+    no iterations and a NaN residual.  An invalid tolerance raises before
+    anything is built.
     """
+    check_tolerance(tolerance)
     t0 = time.perf_counter()
     problem = _build_problem(r_core, gamma, norm)
     initial = _warm_initial(problem, *prev) if prev is not None else None

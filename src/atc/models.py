@@ -113,42 +113,38 @@ def stencil_gradient(n: int, back, centre, fwd, vf, vb) -> np.ndarray:
     return (forward + backward) - np.bincount(centre, weights=vf + vb, minlength=n)
 
 
-def stencil_triplets(back, centre, fwd, cff, cfb, cbb):
-    """(rows, cols, vals) of the Hessian of a sum of three-point site energies.
+def stencil_band(n: int, back, centre, fwd, cff, cfb, cbb) -> np.ndarray:
+    """LAPACK band storage of the Hessian of a sum of three-point site energies.
 
     Site i contributes the quadratic form with second derivatives
-    (cff, cfb, cbb) in (d_fwd, d_bwd), as in stencil_gradient.  Entries come
-    in the blocks (p,p), (c,c), (m,m), (p,c), (c,p), (m,c), (c,m), (p,m),
-    (m,p) with m, c, p = back, centre, fwd.  Keep that order: np.add.at sums
-    duplicate entries in it, and the rounding of the assembled Hessians, and
-    so the Newton iterates, depend on it.  A stencil with back = centre and
-    zero cfb, cbb has the forward difference only.
+    (cff, cfb, cbb) in (d_fwd, d_bwd), as in stencil_gradient; back, centre
+    and fwd are non-empty consecutive index ranges.  A site energy couples
+    sites at most k = INTERACTION_RANGE apart, so entry (r, c) lands in
+    ab[k + r - c, c], the layout scipy.linalg.solve_banded((k, k), ab, b)
+    reads.  The blocks (p,p), (c,c), (m,m), (p,c), (c,p), (m,c), (c,m),
+    (p,m), (m,p) with m, c, p = back, centre, fwd are added as shifted slices
+    in that order.  Keep it: an entry is the sum of its blocks in that order,
+    and the rounding of the Hessians, and so the Newton iterates, depend on
+    it.  A stencil with back = centre and zero cfb, cbb has the forward
+    difference only.  Slots outside the matrix stay zero.
     """
-    m, c, p = back, centre, fwd
+    k = INTERACTION_RANGE
     off_fc = -(cff + cfb)
     off_bc = -(cbb + cfb)
-    rows = np.concatenate((p, c, m, p, c, m, c, p, m))
-    cols = np.concatenate((p, c, m, c, p, c, m, m, p))
-    vals = np.concatenate((cff, cff + 2.0 * cfb + cbb, cbb, off_fc, off_fc,
-                           off_bc, off_bc, cfb, cfb))
-    return rows, cols, vals
+    blocks = ((fwd, fwd, cff), (centre, centre, cff + 2.0 * cfb + cbb), (back, back, cbb),
+              (fwd, centre, off_fc), (centre, fwd, off_fc), (back, centre, off_bc),
+              (centre, back, off_bc), (fwd, back, cfb), (back, fwd, cfb))
+    ab = np.zeros((2 * k + 1, n))
+    for rows, cols, vals in blocks:
+        c0 = int(cols[0])
+        ab[k + int(rows[0]) - c0, c0:c0 + len(vals)] += vals
+    return ab
 
 
-def csr_from_triplets(shape, rows, cols, vals) -> sp.csr_matrix:
-    """CSR matrix summing the triplets in order, without stored zeros.
-
-    Duplicates are summed in triplet order (np.bincount adds in input order,
-    as a dense np.add.at scatter does); scipy's own duplicate summation
-    promises no order.  Entries that sum to exactly zero are dropped, so the
-    matrix holds what a dense scatter holds.
-    """
-    n_rows, n_cols = shape
-    keys, slot = np.unique(rows * n_cols + cols, return_inverse=True)
-    sums = np.bincount(slot, weights=vals)
-    keep = sums != 0.0
-    keys = keys[keep]
-    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
-    return sp.csr_matrix((sums[keep], keys % n_cols, indptr), shape=shape)
+def band_csr(ab) -> sp.csr_matrix:
+    """CSR matrix of the square band storage ab, without stored zeros."""
+    k, n = len(ab) // 2, ab.shape[1]
+    return sp.dia_matrix((ab, np.arange(k, -k - 1, -1)), shape=(n, n)).tocsr()
 
 
 class AtomisticModel:
@@ -197,8 +193,7 @@ class AtomisticModel:
 
     def hessian(self, u) -> sp.csr_matrix:
         cff, cfb, cbb = site_hessian_arrays(*self._differences(u))
-        return csr_from_triplets((self.n, self.n),
-                                 *stencil_triplets(*self._stencil, cff, cfb, cbb))
+        return band_csr(stencil_band(self.n, *self._stencil, cff, cfb, cbb))
 
     def third_contraction(self, u, weights) -> sp.csr_matrix:
         """Third derivative tensor contracted once with a full-length vector."""
@@ -207,8 +202,7 @@ class AtomisticModel:
         cff = fff * sf + ffb * sb
         cfb = ffb * sf + fbb * sb
         cbb = fbb * sf + bbb * sb
-        return csr_from_triplets((self.n, self.n),
-                                 *stencil_triplets(*self._stencil, cff, cfb, cbb))
+        return band_csr(stencil_band(self.n, *self._stencil, cff, cfb, cbb))
 
 
 class ContinuumSide:
@@ -286,8 +280,7 @@ class ContinuumSide:
         return stencil_gradient(self.n, *self._stencil, s1, self._zero) - self.load
 
     def _element_matrix(self, coef) -> sp.csr_matrix:
-        return csr_from_triplets((self.n, self.n), *stencil_triplets(
-            *self._stencil, coef, self._zero, self._zero))
+        return band_csr(stencil_band(self.n, *self._stencil, coef, self._zero, self._zero))
 
     def hessian(self, u_full) -> sp.csr_matrix:
         coef = cauchy_born_d2(self.strains(u_full)) / self.h

@@ -5,9 +5,10 @@ supported on the truncated domain (zero outside), with the manufactured
 forces applied at every site.  Its Hessian couples sites at most two apart,
 so each Newton step is a banded LU solve (five diagonals, partial pivoting)
 in time and memory linear in the number of sites.  The iteration itself is
-coupling.damped_newton, the loop of the coupled solve; the unknowns, the
-energy, the band assembly and the LU are the oracle's own, and they are what
-keeps the cross-check independent.
+coupling.damped_newton, the loop of the coupled solve, and the band is
+assembled by models.stencil_band, as the coupled Hessians are; the unknowns,
+the energy and the LU are the oracle's own, and they are what keeps the
+cross-check independent.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
@@ -28,22 +29,8 @@ from .coupling import DEFAULT_TOLERANCE, damped_newton
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
 from .exceptions import UsageError
 from .models import (exact_solution, exact_solution_derivative, force_values,
-                     stencil_gradient, stencil_triplets)
+                     stencil_band, stencil_gradient)
 from .potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
-
-
-def band_from_triplets(n, rows, cols, vals) -> np.ndarray:
-    """LAPACK band storage of the n x n matrix summing the triplets in order.
-
-    A site energy couples sites at most k = INTERACTION_RANGE apart, so entry
-    (i, j) has |i - j| <= k and lands in ab[k + i - j, j], the layout
-    scipy.linalg.solve_banded((k, k), ab, b) reads.  Duplicates are summed in
-    triplet order by one np.bincount, as models.csr_from_triplets sums them,
-    so both hold the same bits.  Slots outside the matrix stay zero.
-    """
-    k = INTERACTION_RANGE
-    keys = (k + rows - cols) * n + cols
-    return np.bincount(keys, weights=vals, minlength=(2 * k + 1) * n).reshape(2 * k + 1, n)
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,7 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
 
     def banded_step(u, g):
         cff, cfb, cbb = site_hessian_arrays(*differences(u))
-        ab = band_from_triplets(n + 2 * pad, *stencil_triplets(*stencil, cff, cfb, cbb))
+        ab = stencil_band(n + 2 * pad, *stencil, cff, cfb, cbb)
         # the padded block; LAPACK never reads the corners this leaves behind
         return solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), ab[:, pad:-pad], -g)
 

@@ -106,6 +106,16 @@ def test_run_single_rejects_small_core_radius():
         run_single(3, GAMMA)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
+def test_run_single_checks_tolerance_before_building(tolerance, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("problem built before the tolerance was checked")
+
+    monkeypatch.setattr(atc.harness, "_build_problem", no_build)
+    with pytest.raises(UsageError, match="tolerance"):
+        run_single(10, GAMMA, tolerance=tolerance)
+
+
 def test_sweep_singleton_matches_run_single():
     single = run_single(5, GAMMA)
     sweep = run_sweep([5], GAMMA)

@@ -17,9 +17,9 @@ from atc import (
     max_norm_error,
     solve_full_atomistic,
 )
-from atc.models import csr_from_triplets, force_values, stencil_gradient, stencil_triplets
+from atc.models import band_csr, force_values, stencil_band, stencil_gradient
 from atc.potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
-from atc.reference import band_from_triplets, coarsening_term_sq, truncation_tail_sq
+from atc.reference import coarsening_term_sq, truncation_tail_sq
 from conftest import GAMMA
 
 
@@ -56,7 +56,56 @@ def test_oracle_reproduces_recorded_numerics(r_core):
             == pytest.approx(err, rel=1e-12, abs=0.0))
 
 
+def dense_stencil_hessian(n, back, centre, fwd, cff, cfb, cbb):
+    """The stencil Hessian by one np.add.at scatter of the nine blocks in the
+    order stencil_band documents; np.add.at adds duplicates in input order."""
+    m, c, p = back, centre, fwd
+    off_fc, off_bc = -(cff + cfb), -(cbb + cfb)
+    rows = np.concatenate((p, c, m, p, c, m, c, p, m))
+    cols = np.concatenate((p, c, m, c, p, c, m, m, p))
+    vals = np.concatenate((cff, cff + 2.0 * cfb + cbb, cbb, off_fc, off_fc,
+                           off_bc, off_bc, cfb, cfb))
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)
+    return dense
+
+
+def assert_band_is(ab, dense):
+    k = INTERACTION_RANGE
+    i, j = np.indices(dense.shape)
+    in_band = np.abs(i - j) <= k
+    assert np.array_equal(ab[k + i[in_band] - j[in_band], j[in_band]], dense[in_band])
+    assert not np.any(dense[~in_band])
+    # the slots outside the matrix
+    r, c = np.indices(ab.shape)
+    assert not np.any(ab[(c + r - k < 0) | (c + r - k >= dense.shape[0])])
+    # the CSR view holds the same entries and no stored zeros
+    csr = band_csr(ab)
+    assert csr.has_canonical_format
+    assert np.all(csr.data != 0.0)
+    assert csr.nnz == np.count_nonzero(dense)
+    assert np.array_equal(csr.toarray(), dense)
+
+
 def test_band_holds_the_stencil_hessian_bit_for_bit():
+    rng = np.random.default_rng(29)
+    # the atomistic stencil (i-1, i, i+1); zeros in cff and cfb leave entries
+    # that sum to exactly zero, which the CSR view must drop
+    n = 40
+    i = np.arange(1, n - 1)
+    cff, cfb, cbb = rng.uniform(-2.0, 2.0, (3, len(i)))
+    cff[5] = cfb[5] = cfb[17] = 0.0
+    stencil = (i - 1, i, i + 1)
+    assert_band_is(stencil_band(n, *stencil, cff, cfb, cbb),
+                   dense_stencil_hessian(n, *stencil, cff, cfb, cbb))
+    # the continuum elements (e, e, e + 1), forward difference only
+    e = np.arange(n - 1)
+    coef, zero = rng.uniform(-2.0, 2.0, len(e)), np.zeros(len(e))
+    coef[7] = 0.0
+    stencil = (e, e, e + 1)
+    assert_band_is(stencil_band(n, *stencil, coef, zero, zero),
+                   dense_stencil_hessian(n, *stencil, coef, zero, zero))
+
     # the oracle's padded problem at a random state: sites -r_c - 2 .. r_c + 2,
     # every site with a neighbour on each side carries a site energy
     dec = small_dec(400)
@@ -66,25 +115,18 @@ def test_band_holds_the_stencil_hessian_bit_for_bit():
     idx = np.arange(1, size - 1)
     stencil = (idx - 1, idx, idx + 1)
     u = np.zeros(size)
-    u[pad:-pad] = np.random.default_rng(29).uniform(-0.05, 0.05, n)
+    u[pad:-pad] = rng.uniform(-0.05, 0.05, n)
     diffs = u[idx + 1] - u[idx], u[idx - 1] - u[idx]
-    triplets = stencil_triplets(*stencil, *site_hessian_arrays(*diffs))
-    ab = band_from_triplets(size, *triplets)
-    dense = csr_from_triplets((size, size), *triplets).toarray()
-    i, j = np.indices(dense.shape)
-    in_band = np.abs(i - j) <= k
-    # both sum duplicates in triplet order, so the bits agree
-    assert np.array_equal(ab[k + i[in_band] - j[in_band], j[in_band]],
-                          dense[in_band])
-    assert not np.any(dense[~in_band])
+    hess = site_hessian_arrays(*diffs)
+    ab = stencil_band(size, *stencil, *hess)
+    assert_band_is(ab, dense_stencil_hessian(size, *stencil, *hess))
     # one Newton step of the padded block, banded LU against sparse LU; both
     # are backward stable, and this block's condition number is about 1.6e6,
     # so they agree to about 1e-12, not to the last bit
     vf, vb = site_gradient_arrays(*diffs)
     g = stencil_gradient(size, *stencil, vf, vb)[pad:-pad] - force_values(dec.sites, GAMMA)
     banded = solve_banded((k, k), ab[:, pad:-pad], -g)
-    sparse = spla.spsolve(csr_from_triplets((size, size), *triplets)[pad:-pad, pad:-pad]
-                          .tocsc(), -g)
+    sparse = spla.spsolve(band_csr(ab)[pad:-pad, pad:-pad].tocsc(), -g)
     assert np.max(np.abs(banded - sparse)) <= 1e-11 * np.max(np.abs(sparse))
 
 
