@@ -17,8 +17,10 @@ indefinite saddle-point system
 where A carries second derivatives with respect to the two displacement
 states (the objective's constant Hessian plus the adjoint-contracted third
 derivatives of the subproblem energies) and B the constraint linearizations.
-The matrix is assembled sparse from the model stencils, with the constant
-blocks built once per problem; only the gradient keeps dense products.
+Each step gathers the matrix from the models' Hessian bands into a canonical
+CSC pattern that the first step builds, with the constant objective and
+constraint entries stored in the pattern; only the gradient keeps dense
+products.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import scipy.sparse.linalg as spla
 
 from .domain import COMPOSITE_BYTES_PER_SITE, DomainDecomposition, GradedMesh, require_memory
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
-from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces
+from .models import AtomisticModel, ContinuumModel, ExternalForce, band_csr, manufacture_forces
+from .potentials import INTERACTION_RANGE
 
 BLOCK_NAMES = ("u_a", "u_c_minus", "u_c_plus",
                "lam_a", "lam_c_minus", "lam_c_plus", "eta")
@@ -120,21 +123,38 @@ def solve_kkt_linear(matrix, rhs):
 
     Symmetric diagonal equilibration followed by sparse LU, with iterative
     refinement until the relative residual (inf norm) meets
-    KKT_RESIDUAL_BOUND.  Returns (solution, relative_residual).
+    KKT_RESIDUAL_BOUND.  A non-finite entry of the matrix or the right-hand
+    side raises before anything is factorized.  Returns (solution,
+    relative_residual).
     """
     matrix = sp.csc_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
+    rows = matrix.indices
+    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    bad = np.flatnonzero(~np.isfinite(matrix.data))
+    if bad.size:
+        e = bad[0]
+        raise KktSolverError(
+            f"non-finite matrix entry {matrix.data[e]} at ({rows[e]}, {cols[e]})")
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise KktSolverError(f"non-finite right-hand side entry {rhs[bad[0]]} at {bad[0]}")
     rhs_norm = np.max(np.abs(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    row_scale = np.sqrt(np.abs(matrix).max(axis=1).toarray().ravel())
-    if np.any(row_scale == 0.0):
+    row_max = np.zeros(matrix.shape[0])
+    np.maximum.at(row_max, rows, np.abs(matrix.data))
+    if np.any(row_max == 0.0):
         raise KktSolverError("structurally singular system: empty row",
                              condition_estimate=np.inf)
-    d = 1.0 / row_scale
-    scaled = sp.diags(d) @ matrix @ sp.diags(d)
+    d = 1.0 / np.sqrt(row_max)
+    # diags(d) @ matrix @ diags(d) on the matrix's own pattern, in that
+    # product's operand order; the index arrays are copied, since splu
+    # sorts a non-canonical input in place
+    scaled = sp.csc_matrix(((d[rows] * matrix.data) * d[cols], rows, matrix.indptr),
+                           shape=matrix.shape, copy=True)
     try:
-        lu = spla.splu(scaled.tocsc())
+        lu = spla.splu(scaled)
     except RuntimeError as err:
         raise KktSolverError(f"sparse factorization failed: {err}") from err
     x = d * lu.solve(d * rhs)
@@ -262,8 +282,9 @@ class CoupledProblem:
         # of the side's full nodal vector; its strain mismatch is
         # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
         # Hessian J sums the outer products of those coefficients.  J and the
-        # mean-zero rows C are held dense for the gradient and sparse, in the
-        # coordinates of the displacement unknowns, for the KKT matrix.
+        # mean-zero rows C are held dense for the gradient, and J also as
+        # triplets in the coordinates of the displacement unknowns (duplicates
+        # to be summed) for the KKT pattern.
         sign = np.array([-1.0, 1.0, 1.0, -1.0])
         coef = np.outer(sign, sign)[:, :, None]
         self._j_aa = np.zeros((na, na))
@@ -288,12 +309,8 @@ class CoupledProblem:
             rows.append(np.repeat(q, 4, axis=0))
             cols.append(np.tile(q, (4, 1)))
             vals.append(np.repeat(coef, w, axis=2))
-        n_u = self.layout["lam_a"].start
-        rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
-        # J's entries are sums of +-1, exact in any order, so scipy may sum them
-        self._j_uu = sp.csr_matrix((vals, (rows, cols)), shape=(n_u, n_u))
-        self._c_u = sp.csr_matrix(np.hstack(
-            (self._c_a, self._c_c[0][:, minus.free_slice], self._c_c[1][:, plus.free_slice])))
+        self._j_triplets = tuple(np.concatenate(x, axis=None) for x in (rows, cols, vals))
+        self._kkt_pattern = None
 
     # ---------------- states ----------------
 
@@ -365,9 +382,9 @@ class CoupledProblem:
         gj_a = self._j_aa @ state.u_a + self._j_ac[0] @ full_m + self._j_ac[1] @ full_p
         gj_m = self._j_ac[0].T @ state.u_a + self._j_cc[0] @ full_m
         gj_p = self._j_ac[1].T @ state.u_a + self._j_cc[1] @ full_p
-        adj_a = self.atomistic.hessian(state.u_a).toarray() @ lam_a
-        adj_m = minus.hessian(full_m).toarray() @ lam_m
-        adj_p = plus.hessian(full_p).toarray() @ lam_p
+        adj_a = band_csr(self.atomistic.hessian(state.u_a)).toarray() @ lam_a
+        adj_m = band_csr(minus.hessian(full_m)).toarray() @ lam_m
+        adj_p = band_csr(plus.hessian(full_p)).toarray() @ lam_p
 
         g[self.layout["u_a"]] = gj_a + adj_a + self._c_a.T @ state.eta
         g[self.layout["u_c_minus"]] = (gj_m + adj_m + self._c_c[0].T @ state.eta)[minus.free_slice]
@@ -379,22 +396,90 @@ class CoupledProblem:
             state.u_a, state.u_c_minus, state.u_c_plus)
         return g
 
+    def _build_kkt_pattern(self):
+        """Canonical CSC pattern of every KKT entry that can be nonzero.
+
+        Returns (rows, indptr, source, constant).  Entry e lies in row rows[e]
+        and its value is flat[source[e]] + constant[e], where flat is the six
+        bands of lagrangian_hessian raveled end to end and then one zero.  A
+        band entry's constant is its J entry, or zero; a J or C entry outside
+        the bands takes the zero.
+        """
+        lay, n = self.layout, self.layout.total
+        minus, plus = self.continuum.minus, self.continuum.plus
+        na = self.atomistic.n
+
+        def to_block(size, idx, name):
+            # position in K of model index idx[i]; -1 where K leaves one out
+            where = np.full(size, -1)
+            where[idx] = np.arange(lay[name].start, lay[name].stop)
+            return where
+
+        u_a = to_block(na, np.arange(na), "u_a")
+        u_m = to_block(minus.n, np.arange(minus.n)[minus.free_slice], "u_c_minus")
+        u_p = to_block(plus.n, np.arange(plus.n)[plus.free_slice], "u_c_plus")
+        # (rows, columns) in K of the third-derivative bands on the u-u
+        # diagonal, then of the Hessians as B, each also placed as B^T
+        maps = ((u_a, u_a), (u_m, u_m), (u_p, u_p),
+                (to_block(na, self.atomistic.test_idx, "lam_a"), u_a),
+                (to_block(minus.n, np.arange(1, minus.n - 1), "lam_c_minus"), u_m),
+                (to_block(plus.n, np.arange(1, plus.n - 1), "lam_c_plus"), u_p))
+        k = INTERACTION_RANGE
+        entries = []
+        offset = 0
+        for row_at, col_at in maps:
+            size = len(row_at)
+            # slot f of a (2k+1, size) band holds entry (col + diag - k, col)
+            diag, col = np.divmod(np.arange((2 * k + 1) * size), size)
+            row = col + diag - k
+            slot = np.flatnonzero((row >= 0) & (row < size))
+            slot = slot[(row_at[row[slot]] >= 0) & (col_at[col[slot]] >= 0)]
+            entries.append((row_at[row[slot]], col_at[col[slot]], offset + slot))
+            offset += (2 * k + 1) * size
+        entries += [(c, r, f) for r, c, f in entries[3:]]
+        rows, cols, source = (np.concatenate(x) for x in zip(*entries))
+        # J, C and C^T are constants on the trailing zero, flat[offset]
+        j_rows, j_cols, j_vals = self._j_triplets
+        c_u = np.hstack((self._c_a, self._c_c[0][:, minus.free_slice],
+                         self._c_c[1][:, plus.free_slice]))
+        q, u = np.nonzero(c_u)
+        eta = q + lay["eta"].start
+        constant = np.concatenate((np.zeros(len(rows)), j_vals, c_u[q, u], c_u[q, u]))
+        rows = np.concatenate((rows, j_rows, eta, u))
+        cols = np.concatenate((cols, j_cols, u, eta))
+        source = np.concatenate((source, np.full(len(rows) - len(source), offset)))
+        # one entry per position, in column-major order, sourced from its band
+        # slot if it has one; the sums of J's +-1 triplets are exact
+        key, at = np.unique(cols * n + rows, return_inverse=True)
+        band_slot = np.full(len(key), offset)
+        np.minimum.at(band_slot, at, source)
+        return ((key % n).astype(np.int32),
+                np.searchsorted(key // n, np.arange(n + 1)).astype(np.int32),
+                band_slot.astype(np.int32), np.bincount(at, weights=constant, minlength=len(key)))
+
     def lagrangian_hessian(self, state: SystemState) -> KktSystem:
-        """Block Hessian of the stationarity functional at the given state."""
+        """Block Hessian of the stationarity functional at the given state.
+
+        The values are gathered from the models' band Hessians into the
+        pattern of _build_kkt_pattern, and exact zeros are dropped, so the
+        matrix is canonical CSC without stored zeros.
+        """
         full_m, full_p = self._full_sides(state)
         lam_a, lam_m, lam_p = self._adjoint_fields(state)
         minus, plus = self.continuum.minus, self.continuum.plus
-        fs_m, fs_p = minus.free_slice, plus.free_slice
-        third = sp.block_diag((self.atomistic.third_contraction(state.u_a, lam_a),
-                               minus.third_contraction(full_m, lam_m)[fs_m, fs_m],
-                               plus.third_contraction(full_p, lam_p)[fs_p, fs_p]))
-        b = sp.block_diag((self.atomistic.hessian(state.u_a)[self.atomistic.test_idx],
-                           minus.hessian(full_m)[1:-1, fs_m],
-                           plus.hessian(full_p)[1:-1, fs_p]))
-        K = sp.bmat([[self._j_uu + third, b.T, self._c_u.T],
-                     [b, None, None],
-                     [self._c_u, None, None]], format="csc")
-        return KktSystem(K)
+        bands = (self.atomistic.third_contraction(state.u_a, lam_a),
+                 minus.third_contraction(full_m, lam_m),
+                 plus.third_contraction(full_p, lam_p),
+                 self.atomistic.hessian(state.u_a), minus.hessian(full_m), plus.hessian(full_p))
+        if self._kkt_pattern is None:
+            self._kkt_pattern = self._build_kkt_pattern()
+        rows, indptr, source, constant = self._kkt_pattern
+        values = np.concatenate([*(ab.ravel() for ab in bands), [0.0]])[source] + constant
+        kept = np.flatnonzero(values)
+        n = self.layout.total
+        return KktSystem(sp.csc_matrix(
+            (values[kept], rows[kept], np.searchsorted(kept, indptr).astype(np.int32)),
+            shape=(n, n)))
 
     # ---------------- solver ----------------
 

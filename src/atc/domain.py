@@ -63,8 +63,11 @@ def lattice_chunks(first: int, last: int, overlap: int = 0):
 
     Each range is an integer array of at most LATTICE_CHUNK sites, and
     neighbouring ranges share `overlap` sites.  Nothing is yielded when
-    last < first.
+    last < first.  An overlap outside [0, LATTICE_CHUNK) raises ValueError
+    on the first next(): the start would stop advancing or skip sites.
     """
+    if not 0 <= overlap < LATTICE_CHUNK:
+        raise ValueError(f"overlap must lie in [0, {LATTICE_CHUNK}), got {overlap}")
     start = first
     while start <= last:
         stop = min(start + LATTICE_CHUNK - 1, last)

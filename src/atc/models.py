@@ -191,18 +191,19 @@ class AtomisticModel:
         """Gradient components in the equilibrium-site directions."""
         return self.gradient(u)[self.test_idx]
 
-    def hessian(self, u) -> sp.csr_matrix:
+    def hessian(self, u) -> np.ndarray:
+        """Energy Hessian as the stencil_band storage of an (n, n) matrix."""
         cff, cfb, cbb = site_hessian_arrays(*self._differences(u))
-        return band_csr(stencil_band(self.n, *self._stencil, cff, cfb, cbb))
+        return stencil_band(self.n, *self._stencil, cff, cfb, cbb)
 
-    def third_contraction(self, u, weights) -> sp.csr_matrix:
-        """Third derivative tensor contracted once with a full-length vector."""
+    def third_contraction(self, u, weights) -> np.ndarray:
+        """Third derivative tensor contracted once with a full-length vector, as a band."""
         fff, ffb, fbb, bbb = site_third_arrays(*self._differences(u))
         sf, sb = self._differences(weights)
         cff = fff * sf + ffb * sb
         cfb = ffb * sf + fbb * sb
         cbb = fbb * sf + bbb * sb
-        return band_csr(stencil_band(self.n, *self._stencil, cff, cfb, cbb))
+        return stencil_band(self.n, *self._stencil, cff, cfb, cbb)
 
 
 class ContinuumSide:
@@ -279,17 +280,19 @@ class ContinuumSide:
         s1 = cauchy_born_d1(self.strains(u_full))
         return stencil_gradient(self.n, *self._stencil, s1, self._zero) - self.load
 
-    def _element_matrix(self, coef) -> sp.csr_matrix:
-        return band_csr(stencil_band(self.n, *self._stencil, coef, self._zero, self._zero))
+    def _element_band(self, coef) -> np.ndarray:
+        return stencil_band(self.n, *self._stencil, coef, self._zero, self._zero)
 
-    def hessian(self, u_full) -> sp.csr_matrix:
+    def hessian(self, u_full) -> np.ndarray:
+        """Energy Hessian over every node, as stencil_band storage."""
         coef = cauchy_born_d2(self.strains(u_full)) / self.h
-        return self._element_matrix(coef)
+        return self._element_band(coef)
 
-    def third_contraction(self, u_full, weights_full) -> sp.csr_matrix:
+    def third_contraction(self, u_full, weights_full) -> np.ndarray:
+        """Third derivative contracted with a full nodal vector, as a band."""
         coef = (cauchy_born_d3(self.strains(u_full))
                 * np.diff(weights_full) / self.h**2)
-        return self._element_matrix(coef)
+        return self._element_band(coef)
 
 
 class ContinuumModel:

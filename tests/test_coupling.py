@@ -21,6 +21,7 @@ from atc import (
     solve_full_atomistic,
     solve_kkt_linear,
 )
+from atc.models import band_csr
 from conftest import GAMMA, fd_gradient, random_state, rel_err_inf
 
 # frozen run record: damped Newton from the zero state, r_core=10, gamma=1.5
@@ -48,6 +49,12 @@ ZERO_BLOCK_PAIRS = [
     ("u_c_minus", "lam_c_plus"), ("u_c_plus", "lam_c_minus"),
     ("u_c_minus", "u_c_plus"),
 ]
+
+
+@pytest.fixture(scope="module")
+def problem_gamma3_20():
+    dec = make_decomposition(20, 3.0)
+    return CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
 
 
 def block(matrix, layout, row, col):
@@ -248,6 +255,55 @@ def test_hessian_is_canonical_csc_without_stored_zeros(problem_10):
         assert K.nnz == KKT_NNZ_10[name]
 
 
+def block_assembled_kkt(problem, state):
+    """The KKT matrix as sp.bmat of CSR blocks of the model bands, J and C."""
+    full_m, full_p = problem._full_sides(state)
+    lam_a, lam_m, lam_p = problem._adjoint_fields(state)
+    atomistic, minus, plus = problem.atomistic, problem.continuum.minus, problem.continuum.plus
+    fs_m, fs_p = minus.free_slice, plus.free_slice
+    # J from the outer products of each overlap element's mismatch
+    # coefficients, in the coordinates of the displacement unknowns
+    layout, w = problem.layout, problem.dec.overlap_width
+    coef = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])[:, :, None]
+    rows, cols, vals = [], [], []
+    for ov_a, ov_c, name, side in ((problem.ov_minus_a, problem.ov_minus_c, "u_c_minus", minus),
+                                   (problem.ov_plus_a, problem.ov_plus_c, "u_c_plus", plus)):
+        c = ov_c + layout[name].start - side.free_slice.start
+        q = np.array((ov_a[:-1], ov_a[1:], c[:-1], c[1:]))
+        rows.append(np.repeat(q, 4, axis=0))
+        cols.append(np.tile(q, (4, 1)))
+        vals.append(np.repeat(coef, w, axis=2))
+    n_u = layout["lam_a"].start
+    rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
+    j_uu = sp.csr_matrix((vals, (rows, cols)), shape=(n_u, n_u))
+    c_u = sp.csr_matrix(np.hstack((problem._c_a, problem._c_c[0][:, fs_m],
+                                   problem._c_c[1][:, fs_p])))
+    third = sp.block_diag((band_csr(atomistic.third_contraction(state.u_a, lam_a)),
+                           band_csr(minus.third_contraction(full_m, lam_m))[fs_m, fs_m],
+                           band_csr(plus.third_contraction(full_p, lam_p))[fs_p, fs_p]))
+    b = sp.block_diag((band_csr(atomistic.hessian(state.u_a))[atomistic.test_idx],
+                       band_csr(minus.hessian(full_m))[1:-1, fs_m],
+                       band_csr(plus.hessian(full_p))[1:-1, fs_p]))
+    return sp.bmat([[j_uu + third, b.T, c_u.T], [b, None, None], [c_u, None, None]],
+                   format="csc")
+
+
+def assert_same_bits(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+def test_gathered_hessian_equals_block_assembly_bit_for_bit(request, problem):
+    problem = request.getfixturevalue(problem)
+    rng = np.random.default_rng(29)
+    for state in (problem.zero_state(), random_state(problem, rng), random_state(problem, rng)):
+        K = problem.lagrangian_hessian(state).matrix
+        assert K.format == "csc"
+        assert_same_bits(K, block_assembled_kkt(problem, state))
+
+
 def test_hessian_vector_products_match_fd(small_problem):
     rng = np.random.default_rng(22)
     layout = small_problem.layout
@@ -306,6 +362,47 @@ def test_solve_kkt_singular_matrix_raises():
     K = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(KktSolverError):
         solve_kkt_linear(K, np.array([1.0, 0.0]))
+
+
+def test_solve_kkt_factorizes_the_equilibrated_matrix_bit_for_bit(monkeypatch, problem_10):
+    K = problem_10.lagrangian_hessian(
+        random_state(problem_10, np.random.default_rng(30))).matrix
+    factored = []
+    splu = atc.coupling.spla.splu
+
+    def capture(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(atc.coupling.spla, "splu", capture)
+    solve_kkt_linear(K, K @ np.ones(K.shape[0]))
+    d = 1.0 / np.sqrt(np.abs(K).max(axis=1).toarray().ravel())
+    (scaled,) = factored
+    assert scaled.format == "csc"
+    assert_same_bits(scaled, (sp.diags(d) @ K @ sp.diags(d)).tocsc())
+
+
+def test_solve_kkt_names_a_non_finite_matrix_entry(monkeypatch, small_problem):
+    # it used to surface from the LU as "Factor is exactly singular"
+    K = small_problem.lagrangian_hessian(
+        random_state(small_problem, np.random.default_rng(31))).matrix.copy()
+    rhs = K @ np.ones(K.shape[0])
+    K.data[K.indptr[3] + 1] = np.nan
+    row = K.indices[K.indptr[3] + 1]
+    monkeypatch.setattr(atc.coupling.spla, "splu", None)  # never reached
+    with pytest.raises(KktSolverError, match=rf"non-finite matrix entry nan at \({row}, 3\)"):
+        solve_kkt_linear(K, rhs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_solve_kkt_names_a_non_finite_rhs_entry(monkeypatch, small_problem, value):
+    # a NaN used to surface as "linear solve residual nan exceeds bound"
+    K = small_problem.lagrangian_hessian(small_problem.zero_state()).matrix
+    rhs = np.ones(K.shape[0])
+    rhs[7] = value
+    monkeypatch.setattr(atc.coupling.spla, "splu", None)  # never reached
+    with pytest.raises(KktSolverError, match=f"non-finite right-hand side entry {value} at 7"):
+        solve_kkt_linear(K, rhs)
 
 
 def test_newton_converges_and_iteration_regression(solved_10):

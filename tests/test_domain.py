@@ -244,3 +244,22 @@ def test_count_dof_scales_linearly_in_r_a():
 def test_mesh_rejects_unsorted_nodes():
     with pytest.raises(UsageError):
         GradedMesh(np.array([0, 2, 1]))
+
+
+@pytest.mark.parametrize("overlap", [0, 1, 4])
+def test_lattice_chunks_cover_every_site_and_share_the_overlap(monkeypatch, overlap):
+    monkeypatch.setattr(domain, "LATTICE_CHUNK", 5)
+    chunks = list(domain.lattice_chunks(-3, 17, overlap=overlap))
+    assert all(1 <= len(c) <= 5 for c in chunks)
+    assert all(np.array_equal(np.diff(c), np.ones(len(c) - 1)) for c in chunks)
+    assert chunks[0][0] == -3 and chunks[-1][-1] == 17
+    for a, b in zip(chunks, chunks[1:]):
+        assert b[0] == a[-1] + 1 - overlap
+
+
+@pytest.mark.parametrize("overlap", [-1, 5, 6])
+def test_lattice_chunks_reject_an_overlap_outside_the_chunk(monkeypatch, overlap):
+    # overlap >= LATTICE_CHUNK never advanced, and a negative one skipped sites
+    monkeypatch.setattr(domain, "LATTICE_CHUNK", 5)
+    with pytest.raises(ValueError, match="overlap"):
+        next(domain.lattice_chunks(0, 20, overlap=overlap))

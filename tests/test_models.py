@@ -19,6 +19,7 @@ from atc import (
     manufacture_forces,
     measure_errors,
 )
+from atc.models import band_csr
 from conftest import GAMMA, fd_gradient, rel_err_inf
 
 
@@ -150,7 +151,7 @@ def test_atomistic_hessian_matches_fd_and_symmetric(dec, forces):
     h = 1e-6
     for _ in range(5):
         u = rng.uniform(-0.05, 0.05, model.n)
-        H = model.hessian(u)
+        H = band_csr(model.hessian(u))
         assert np.max(np.abs(H - H.T)) == 0.0
         v = rng.uniform(-1, 1, model.n)
         fd = (model.gradient(u + h * v) - model.gradient(u - h * v)) / (2 * h)
@@ -163,9 +164,9 @@ def test_atomistic_third_contraction_matches_fd(dec, forces):
     h = 1e-5
     u = rng.uniform(-0.05, 0.05, model.n)
     w = rng.uniform(-1, 1, model.n)
-    T = model.third_contraction(u, w)
+    T = band_csr(model.third_contraction(u, w))
     assert np.max(np.abs(T - T.T)) == 0.0
-    fd = (model.hessian(u + h * w) - model.hessian(u - h * w)) / (2 * h)
+    fd = (band_csr(model.hessian(u + h * w)) - band_csr(model.hessian(u - h * w))) / (2 * h)
     assert rel_err_inf(T.toarray(), fd.toarray()) < 1e-5
 
 
@@ -216,7 +217,7 @@ def test_continuum_hessian_symmetric_and_matches_fd(dec, mesh, forces):
     h = 1e-6
     for _ in range(5):
         u = rng.uniform(-0.05, 0.05, side.n)
-        H = side.hessian(u)
+        H = band_csr(side.hessian(u))
         assert np.max(np.abs(H - H.T)) == 0.0
         v = rng.uniform(-1, 1, side.n)
         fd = (side.gradient(u + h * v) - side.gradient(u - h * v)) / (2 * h)
@@ -229,9 +230,9 @@ def test_continuum_third_contraction_matches_fd(dec, mesh):
     rng = np.random.default_rng(10)
     u = rng.uniform(-0.05, 0.05, side.n)
     w = rng.uniform(-1, 1, side.n)
-    T = side.third_contraction(u, w)
+    T = band_csr(side.third_contraction(u, w))
     h = 1e-5
-    fd = (side.hessian(u + h * w) - side.hessian(u - h * w)) / (2 * h)
+    fd = (band_csr(side.hessian(u + h * w)) - band_csr(side.hessian(u - h * w))) / (2 * h)
     assert rel_err_inf(T.toarray(), fd.toarray()) < 1e-5
 
 
