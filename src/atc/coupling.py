@@ -211,7 +211,7 @@ def damped_newton(x0, gradient, step, tolerance: float, diagnostics=None):
         if diag.iterations >= MAX_ITERATIONS:
             raise NonConvergenceError(
                 f"no convergence in {MAX_ITERATIONS} iterations (residual {res:.3e})",
-                residual_history=diag.residuals, diagnostics=diag)
+                diagnostics=diag)
         direction = step(x, grad)
         alpha = 1.0
         while alpha >= MIN_STEP:
@@ -226,8 +226,7 @@ def damped_newton(x0, gradient, step, tolerance: float, diagnostics=None):
             alpha *= DAMPING_FACTOR
         else:
             raise NonConvergenceError(
-                f"line search failed at residual {res:.3e}",
-                residual_history=diag.residuals, diagnostics=diag)
+                f"line search failed at residual {res:.3e}", diagnostics=diag)
         x, grad, res = trial, grad_new, res_new
         diag.residuals.append(res)
         diag.step_lengths.append(alpha)
@@ -274,36 +273,32 @@ class CoupledProblem:
         self.ov_plus_c = np.arange(0, w + 1)
         self.ov_minus_a = np.arange(0, w + 1)
         self.ov_minus_c = np.arange(minus.n - 1 - w, minus.n)
-        trapz = np.ones(w + 1)
-        trapz[0] = trapz[-1] = 0.5
-        self.trapz = trapz
+        self.trapz = np.ones(w + 1)
+        self.trapz[0] = self.trapz[-1] = 0.5
 
         # Overlap element k of a side spans nodes a[:, k] of u_a and c[:, k]
         # of the side's full nodal vector; its strain mismatch is
         # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
-        # Hessian J sums the outer products of those coefficients.  J and the
-        # mean-zero rows C are held dense for the gradient, and J also as
-        # triplets in the coordinates of the displacement unknowns (duplicates
-        # to be summed) for the KKT pattern.
+        # Hessian J sums the outer products of those coefficients.  J is held
+        # dense for the gradient, and also as triplets in the coordinates of
+        # the displacement unknowns (duplicates to be summed) for the KKT
+        # pattern.  The mean-zero rows C hold the trapezoid weights on each
+        # overlap's nodes, + on u_a and - on the side; row 0 (eta[0]) is the
+        # plus side's, row 1 the minus side's.
         sign = np.array([-1.0, 1.0, 1.0, -1.0])
         coef = np.outer(sign, sign)[:, :, None]
         self._j_aa = np.zeros((na, na))
         self._j_cc = [np.zeros((minus.n, minus.n)), np.zeros((plus.n, plus.n))]
         self._j_ac = [np.zeros((na, minus.n)), np.zeros((na, plus.n))]
-        # mean-zero constraint gradients (rows: positive component, negative)
-        self._c_a = np.zeros((2, na))
-        self._c_c = [np.zeros((2, minus.n)), np.zeros((2, plus.n))]
         rows, cols, vals = [], [], []
-        for side, (ov_a, ov_c, row, block, cont) in enumerate((
-                (self.ov_minus_a, self.ov_minus_c, 1, "u_c_minus", minus),
-                (self.ov_plus_a, self.ov_plus_c, 0, "u_c_plus", plus))):
+        for side, (ov_a, ov_c, block, cont) in enumerate((
+                (self.ov_minus_a, self.ov_minus_c, "u_c_minus", minus),
+                (self.ov_plus_a, self.ov_plus_c, "u_c_plus", plus))):
             a = np.array((ov_a[:-1], ov_a[1:]))
             c = np.array((ov_c[:-1], ov_c[1:]))
             np.add.at(self._j_aa, (a[:, None], a[None]), coef[:2, :2])
             np.add.at(self._j_ac[side], (a[:, None], c[None]), coef[:2, 2:])
             np.add.at(self._j_cc[side], (c[:, None], c[None]), coef[2:, 2:])
-            self._c_a[row, ov_a] = trapz
-            self._c_c[side][row, ov_c] = -trapz
             # u_a comes first among the unknowns, then each side's free nodes
             q = np.concatenate((a, c + self.layout[block].start - cont.free_slice.start))
             rows.append(np.repeat(q, 4, axis=0))
@@ -323,16 +318,13 @@ class CoupledProblem:
 
     # ---------------- coupling quantities ----------------
 
-    def _mismatches(self, u_a, full_m, full_p):
-        dm = np.diff(u_a[self.ov_minus_a]) - np.diff(full_m[self.ov_minus_c])
-        dp = np.diff(u_a[self.ov_plus_a]) - np.diff(full_p[self.ov_plus_c])
-        return dm, dp
-
     def objective(self, u_a, u_c_minus, u_c_plus) -> float:
         """Half the squared L2 norm of the overlap strain mismatch."""
+        u_a = np.asarray(u_a, dtype=float)
         full_m = self.continuum.minus.embed(u_c_minus)
         full_p = self.continuum.plus.embed(u_c_plus)
-        dm, dp = self._mismatches(np.asarray(u_a, dtype=float), full_m, full_p)
+        dm = np.diff(u_a[self.ov_minus_a]) - np.diff(full_m[self.ov_minus_c])
+        dp = np.diff(u_a[self.ov_plus_a]) - np.diff(full_p[self.ov_plus_c])
         return float(0.5 * (np.dot(dm, dm) + np.dot(dp, dp)))
 
     def mean_zero_constraints(self, u_a, u_c_minus, u_c_plus) -> tuple[float, float]:
@@ -386,9 +378,16 @@ class CoupledProblem:
         adj_m = band_csr(minus.hessian(full_m)).toarray() @ lam_m
         adj_p = band_csr(plus.hessian(full_p)).toarray() @ lam_p
 
-        g[self.layout["u_a"]] = gj_a + adj_a + self._c_a.T @ state.eta
-        g[self.layout["u_c_minus"]] = (gj_m + adj_m + self._c_c[0].T @ state.eta)[minus.free_slice]
-        g[self.layout["u_c_plus"]] = (gj_p + adj_p + self._c_c[1].T @ state.eta)[plus.free_slice]
+        g_a, g_m, g_p = gj_a + adj_a, gj_m + adj_m, gj_p + adj_p
+        # C^T eta: an overlap node lies in one mean-zero row only
+        eta_p, eta_m = state.eta
+        g_a[self.ov_plus_a] += self.trapz * eta_p
+        g_a[self.ov_minus_a] += self.trapz * eta_m
+        g_m[self.ov_minus_c] -= self.trapz * eta_m
+        g_p[self.ov_plus_c] -= self.trapz * eta_p
+        g[self.layout["u_a"]] = g_a
+        g[self.layout["u_c_minus"]] = g_m[minus.free_slice]
+        g[self.layout["u_c_plus"]] = g_p[plus.free_slice]
         g[self.layout["lam_a"]] = self.atomistic.equilibrium_residual(state.u_a)
         g[self.layout["lam_c_minus"]] = minus.gradient(full_m)[1:-1]
         g[self.layout["lam_c_plus"]] = plus.gradient(full_p)[1:-1]
@@ -440,11 +439,11 @@ class CoupledProblem:
         rows, cols, source = (np.concatenate(x) for x in zip(*entries))
         # J, C and C^T are constants on the trailing zero, flat[offset]
         j_rows, j_cols, j_vals = self._j_triplets
-        c_u = np.hstack((self._c_a, self._c_c[0][:, minus.free_slice],
-                         self._c_c[1][:, plus.free_slice]))
-        q, u = np.nonzero(c_u)
-        eta = q + lay["eta"].start
-        constant = np.concatenate((np.zeros(len(rows)), j_vals, c_u[q, u], c_u[q, u]))
+        u = np.concatenate((u_a[self.ov_plus_a], u_p[self.ov_plus_c],
+                            u_a[self.ov_minus_a], u_m[self.ov_minus_c]))
+        eta = np.repeat(lay["eta"].start + np.arange(2), 2 * len(self.trapz))
+        c_vals = np.tile(np.concatenate((self.trapz, -self.trapz)), 2)
+        constant = np.concatenate((np.zeros(len(rows)), j_vals, c_vals, c_vals))
         rows = np.concatenate((rows, j_rows, eta, u))
         cols = np.concatenate((cols, j_cols, u, eta))
         source = np.concatenate((source, np.full(len(rows) - len(source), offset)))

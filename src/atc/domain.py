@@ -86,26 +86,19 @@ def _snap(p: float) -> float:
     return p
 
 
-def _check_gamma(gamma: float) -> None:
+def _norm_exponents(gamma: float, norm: str) -> tuple[float, float]:
+    """Exponents (radius, grading) of optimal_radii and mesh_size in the norm.
+
+    gamma must be finite and positive, and above 1/2 in the energy norm.
+    """
     if not 0.0 < gamma < np.inf:
         raise UsageError(f"gamma must be finite and positive, got {gamma}")
-
-
-def _radius_exponent(gamma: float, norm: str) -> float:
     if norm == "energy":
         if gamma <= 0.5:
             raise IllPosedParametersError(f"energy norm requires gamma > 1/2, got {gamma}")
-        return (1.0 + gamma) / (gamma - 0.5)
+        return (1.0 + gamma) / (gamma - 0.5), (1.0 + gamma) / 1.5
     if norm == "uniform":
-        return 1.0 + 1.0 / gamma
-    raise UsageError(f"unknown norm {norm!r}, expected 'energy' or 'uniform'")
-
-
-def _grading_exponent(gamma: float, norm: str) -> float:
-    if norm == "energy":
-        return (1.0 + gamma) / 1.5
-    if norm == "uniform":
-        return 1.0 + gamma
+        return 1.0 + 1.0 / gamma, 1.0 + gamma
     raise UsageError(f"unknown norm {norm!r}, expected 'energy' or 'uniform'")
 
 
@@ -116,13 +109,12 @@ def optimal_radii(r_core: int, gamma: float, norm: str = "energy") -> tuple[int,
     and r_c = ceil(r_a ** e) with the norm-dependent exponent e trades the
     domain truncation error against the coarse-mesh error.
     """
-    _check_gamma(gamma)
+    e, _ = _norm_exponents(gamma, norm)
     if r_core < 2 * INTERACTION_RANGE:
         raise UsageError(
             f"r_core={r_core} too small: overlap width r_a - r_core = r_core "
             f"must be at least twice the interaction range, {2 * INTERACTION_RANGE}"
         )
-    e = _radius_exponent(gamma, norm)
     r_a = 2 * r_core
     try:
         r_c = int(np.ceil(_snap(float(r_a) ** e)))
@@ -140,11 +132,10 @@ def mesh_size(x, r_a: int, gamma: float, norm: str = "energy") -> int:
     Follows the power law (|x|/r_a) ** e floored to the lattice scale; equals
     1 at |x| = r_a so the mesh stays fully refined at the overlap edge.
     """
-    _check_gamma(gamma)
+    _, e = _norm_exponents(gamma, norm)
     x = abs(float(x))
     if x < r_a:
         raise UsageError(f"mesh_size defined for |x| >= r_a, got |x|={x} < {r_a}")
-    e = _grading_exponent(gamma, norm)
     return max(1, int(np.floor(_snap((x / r_a) ** e))))
 
 

@@ -26,9 +26,8 @@ class KktSolverError(AtcError):
 
 
 class NonConvergenceError(AtcError):
-    """Newton iteration exhausted its budget; carries the residual history."""
+    """Newton iteration gave up; diagnostics holds its NewtonDiagnostics."""
 
-    def __init__(self, message, residual_history=None, diagnostics=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.residual_history = list(residual_history or [])
         self.diagnostics = diagnostics

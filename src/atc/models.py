@@ -100,33 +100,36 @@ def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
     return ExternalForce(dec, gamma)
 
 
-def stencil_gradient(n: int, back, centre, fwd, vf, vb) -> np.ndarray:
+def stencil_gradient(n: int, back: int, centre: int, fwd: int, vf, vb) -> np.ndarray:
     """Gradient of a sum of three-point site energies, as a length-n vector.
 
-    Site i's energy depends on d_fwd = u[fwd_i] - u[centre_i] and
-    d_bwd = u[back_i] - u[centre_i]; vf and vb are its derivatives with
-    respect to them.  The three scatters are summed as
-    (forward + backward) - centre.
+    Site i's energy depends on d_fwd = u[fwd + i] - u[centre + i] and
+    d_bwd = u[back + i] - u[centre + i]; vf and vb are its derivatives with
+    respect to them.  Each weight vector is added by slice into zeros, and
+    the three are summed as (forward + backward) - centre.
     """
-    forward = np.bincount(fwd, weights=vf, minlength=n)
-    backward = np.bincount(back, weights=vb, minlength=n)
-    return (forward + backward) - np.bincount(centre, weights=vf + vb, minlength=n)
+    forward, backward, middle = np.zeros((3, n))
+    m = len(vf)
+    forward[fwd:fwd + m] += vf
+    backward[back:back + m] += vb
+    middle[centre:centre + m] += vf + vb
+    return (forward + backward) - middle
 
 
-def stencil_band(n: int, back, centre, fwd, cff, cfb, cbb) -> np.ndarray:
+def stencil_band(n: int, back: int, centre: int, fwd: int, cff, cfb, cbb) -> np.ndarray:
     """LAPACK band storage of the Hessian of a sum of three-point site energies.
 
     Site i contributes the quadratic form with second derivatives
-    (cff, cfb, cbb) in (d_fwd, d_bwd), as in stencil_gradient; back, centre
-    and fwd are non-empty consecutive index ranges.  A site energy couples
-    sites at most k = INTERACTION_RANGE apart, so entry (r, c) lands in
-    ab[k + r - c, c], the layout scipy.linalg.solve_banded((k, k), ab, b)
-    reads.  The blocks (p,p), (c,c), (m,m), (p,c), (c,p), (m,c), (c,m),
-    (p,m), (m,p) with m, c, p = back, centre, fwd are added as shifted slices
-    in that order.  Keep it: an entry is the sum of its blocks in that order,
-    and the rounding of the Hessians, and so the Newton iterates, depend on
-    it.  A stencil with back = centre and zero cfb, cbb has the forward
-    difference only.  Slots outside the matrix stay zero.
+    (cff, cfb, cbb) in (d_fwd, d_bwd), at the offsets of stencil_gradient.
+    A site energy couples sites at most k = INTERACTION_RANGE apart, so entry
+    (r, c) lands in ab[k + r - c, c], the layout
+    scipy.linalg.solve_banded((k, k), ab, b) reads.  The blocks (p,p), (c,c),
+    (m,m), (p,c), (c,p), (m,c), (c,m), (p,m), (m,p) with m, c, p = back,
+    centre, fwd are added as shifted slices in that order.  Keep it: an entry
+    is the sum of its blocks in that order, and the rounding of the Hessians,
+    and so the Newton iterates, depend on it.  A stencil with back = centre
+    and zero cfb, cbb has the forward difference only.  Slots outside the
+    matrix stay zero.
     """
     k = INTERACTION_RANGE
     off_fc = -(cff + cfb)
@@ -135,9 +138,8 @@ def stencil_band(n: int, back, centre, fwd, cff, cfb, cbb) -> np.ndarray:
               (fwd, centre, off_fc), (centre, fwd, off_fc), (back, centre, off_bc),
               (centre, back, off_bc), (fwd, back, cfb), (back, fwd, cfb))
     ab = np.zeros((2 * k + 1, n))
-    for rows, cols, vals in blocks:
-        c0 = int(cols[0])
-        ab[k + int(rows[0]) - c0, c0:c0 + len(vals)] += vals
+    for row, col, vals in blocks:
+        ab[k + row - col, col:col + len(vals)] += vals
     return ab
 
 
@@ -166,14 +168,14 @@ class AtomisticModel:
         # index ranges within the site array
         self.energy_idx = np.arange(m, self.n - m)            # interior sites
         self.test_idx = np.arange(2 * m, self.n - 2 * m)      # equilibrium sites
-        i = self.energy_idx
-        self._stencil = (i - 1, i, i + 1)
+        # the energy of interior site i reads sites i - 1, i and i + 1
+        self._stencil = (m - 1, m, m + 1)
         self.force_test = (force.values[self.test_idx] if force is not None
                            else np.zeros(len(self.test_idx)))
 
     def _differences(self, u):
-        i = self.energy_idx
-        return u[i + 1] - u[i], u[i - 1] - u[i]
+        m, n = INTERACTION_RANGE, self.n
+        return u[m + 1:n - m + 1] - u[m:n - m], u[m - 1:n - m - 1] - u[m:n - m]
 
     def energy(self, u) -> float:
         d_fwd, d_bwd = self._differences(u)
@@ -209,10 +211,10 @@ class AtomisticModel:
 class ContinuumSide:
     """One continuum interval: P1 Cauchy-Born energy and exact force work.
 
-    Nodes are stored in ascending order; outer_first says whether the pinned
-    outer Dirichlet node is nodes[0] (negative side) or nodes[-1] (positive
-    side).  All energy routines take the full nodal vector including the
-    pinned entry.
+    Nodes ascend, as in the GradedMesh they come from; outer_first says
+    whether the pinned outer Dirichlet node is nodes[0] (negative side) or
+    nodes[-1] (positive side).  All energy routines take the full nodal
+    vector including the pinned entry.
     """
 
     def __init__(self, nodes: np.ndarray, outer_first: bool):
@@ -220,13 +222,10 @@ class ContinuumSide:
         self.outer_first = outer_first
         self.x = self.nodes.astype(float)
         self.h = np.diff(self.x)
-        if np.any(self.h <= 0):
-            raise UsageError("side nodes must be strictly increasing")
         self.n = len(self.nodes)
         # element e is a stencil without a backward neighbour: its only
         # difference is u[e + 1] - u[e]
-        e = np.arange(self.n - 1)
-        self._stencil = (e, e, e + 1)
+        self._stencil = (0, 0, 1)
         self._zero = np.zeros(self.n - 1)
         self.load = np.zeros(self.n)
 

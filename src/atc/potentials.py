@@ -71,8 +71,8 @@ def _bond_lengths(d_fwd, d_bwd):
     d_bwd = np.asarray(d_bwd, dtype=float)
     r1 = 1.0 + d_fwd
     r2 = 2.0 + d_fwd - d_bwd
-    if np.any(r1 < MIN_BOND_LENGTH) or np.any(r2 < MIN_BOND_LENGTH):
-        raise ConfigurationError("collapsed bond: deformed length below MIN_BOND_LENGTH")
+    if not (np.all(r1 >= MIN_BOND_LENGTH) and np.all(r2 >= MIN_BOND_LENGTH)):  # NaN fails
+        raise ConfigurationError("collapsed bond: length below MIN_BOND_LENGTH or NaN")
     return r1, r2
 
 
@@ -109,8 +109,8 @@ def site_third_arrays(d_fwd, d_bwd):
 
 def _cb_bonds(strain):
     r1 = 1.0 + np.asarray(strain, dtype=float)
-    if np.any(r1 < MIN_BOND_LENGTH):
-        raise ConfigurationError("collapsed strain: deformed spacing below MIN_BOND_LENGTH")
+    if not np.all(r1 >= MIN_BOND_LENGTH):  # NaN fails
+        raise ConfigurationError("collapsed strain: spacing below MIN_BOND_LENGTH or NaN")
     return r1, 2.0 * r1
 
 

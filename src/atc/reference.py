@@ -63,12 +63,12 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
     def padded(u):
         return np.concatenate((np.zeros(pad), u, np.zeros(pad)))
 
-    idx = np.arange(1, n + 2 * pad - 1)  # energy sites within the padded array
-    stencil = (idx - 1, idx, idx + 1)
+    # the energy sites are 1 .. n + 2 pad - 2 of the padded array
+    stencil = (0, 1, 2)
 
     def differences(u):
         ue = padded(u)
-        return ue[idx + 1] - ue[idx], ue[idx - 1] - ue[idx]
+        return ue[2:] - ue[1:-1], ue[:-2] - ue[1:-1]
 
     def residual_vec(u):
         vf, vb = site_gradient_arrays(*differences(u))

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import atc.coupling
 from atc import (
     AtcError,
+    ConfigurationError,
     CoupledProblem,
     KktSolverError,
     NewtonDiagnostics,
@@ -21,6 +22,7 @@ from atc import (
     solve_full_atomistic,
     solve_kkt_linear,
 )
+from atc.coupling import damped_newton
 from atc.models import band_csr
 from conftest import GAMMA, fd_gradient, random_state, rel_err_inf
 
@@ -276,8 +278,18 @@ def block_assembled_kkt(problem, state):
     n_u = layout["lam_a"].start
     rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
     j_uu = sp.csr_matrix((vals, (rows, cols)), shape=(n_u, n_u))
-    c_u = sp.csr_matrix(np.hstack((problem._c_a, problem._c_c[0][:, fs_m],
-                                   problem._c_c[1][:, fs_p])))
+    # C by the trapezoid rule on the overlap sites, + on u_a and - on the
+    # side's nodes there: row 0 for r_core .. r_a, the plus side's first
+    # w + 1 unknowns; row 1 for -r_a .. -r_core, the minus side's last w + 1
+    trapz = np.ones(w + 1)
+    trapz[[0, -1]] = 0.5
+    dec, start_p, stop_m = problem.dec, layout["u_c_plus"].start, layout["u_c_minus"].stop
+    c_u = np.zeros((2, n_u))
+    c_u[0, dec.r_core + dec.r_a:2 * dec.r_a + 1] = trapz
+    c_u[0, start_p:start_p + w + 1] = -trapz
+    c_u[1, :w + 1] = trapz
+    c_u[1, stop_m - w - 1:stop_m] = -trapz
+    c_u = sp.csr_matrix(c_u)
     third = sp.block_diag((band_csr(atomistic.third_contraction(state.u_a, lam_a)),
                            band_csr(minus.third_contraction(full_m, lam_m))[fs_m, fs_m],
                            band_csr(plus.third_contraction(full_p, lam_p))[fs_p, fs_p]))
@@ -455,8 +467,34 @@ def test_newton_failure_paths(monkeypatch, small_problem, solver, constant, valu
             solve_full_atomistic(small_problem.dec, GAMMA)
     diag = err.value.diagnostics
     assert isinstance(diag, NewtonDiagnostics) and not diag.converged
-    assert err.value.residual_history == diag.residuals
     assert len(diag.residuals) == residuals
+
+
+def test_line_search_rejects_a_trial_that_raises():
+    # the full step lands at 2, where the toy gradient x - 1 raises; half of it
+    # lands on the root
+    def gradient(x):
+        if np.any(x > 1.5):
+            raise ConfigurationError("toy bound")
+        return x - 1.0
+
+    x, diag = damped_newton(np.zeros(1), gradient, lambda x, g: -2.0 * g, 1e-10)
+    assert diag.converged and x[0] == 1.0
+    assert diag.step_lengths == [0.5]
+    assert diag.residuals == [1.0, 0.0]
+
+
+def test_line_search_fails_when_every_trial_raises():
+    def gradient(x):
+        if np.any(x > 0.0):
+            raise ConfigurationError("toy bound")
+        return x - 1.0
+
+    with pytest.raises(NonConvergenceError, match="line search failed") as err:
+        damped_newton(np.zeros(1), gradient, lambda x, g: -g, 1e-10)
+    diag = err.value.diagnostics
+    assert isinstance(diag, NewtonDiagnostics) and not diag.converged
+    assert diag.residuals == [1.0] and diag.step_lengths == []
 
 
 def test_newton_does_not_converge_on_a_nan_residual(small_problem):

@@ -85,6 +85,19 @@ def test_radii_and_mesh_size_reject_bad_gamma(gamma):
             mesh_size(40, 20, gamma, norm=norm)
 
 
+def test_mesh_size_ill_posed_as_optimal_radii():
+    with pytest.raises(IllPosedParametersError):
+        mesh_size(40, 20, 0.5, norm="energy")
+
+
+@pytest.mark.parametrize("call", [lambda: optimal_radii(10, 1.5, norm="l2"),
+                                  lambda: mesh_size(40, 20, 1.5, norm="l2")],
+                         ids=["optimal_radii", "mesh_size"])
+def test_unknown_norm_is_usage_error(call):
+    with pytest.raises(UsageError, match="unknown norm 'l2'"):
+        call()
+
+
 def test_optimal_radii_rejects_small_core():
     with pytest.raises(UsageError):
         optimal_radii(3, 1.5)

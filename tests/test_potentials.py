@@ -159,6 +159,19 @@ def test_cauchy_born_collapsed_strain():
         cauchy_born_energy_density(-0.7)
 
 
+def test_nan_difference_is_configuration_error(problem_10):
+    # a NaN bond fails the collapsed-bond test, as an AtcError the sweep and
+    # the CLI handle, not as phi's ValueError
+    with pytest.raises(ConfigurationError):
+        site_gradient_arrays([np.nan], [0.0])
+    with pytest.raises(ConfigurationError):
+        cauchy_born_d1(np.nan)
+    state = problem_10.zero_state()
+    state.u_a[5] = np.nan
+    with pytest.raises(ConfigurationError):
+        problem_10.newton_solve(state)
+
+
 def test_frozen_constants_against_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp

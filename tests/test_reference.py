@@ -95,16 +95,14 @@ def test_band_holds_the_stencil_hessian_bit_for_bit():
     i = np.arange(1, n - 1)
     cff, cfb, cbb = rng.uniform(-2.0, 2.0, (3, len(i)))
     cff[5] = cfb[5] = cfb[17] = 0.0
-    stencil = (i - 1, i, i + 1)
-    assert_band_is(stencil_band(n, *stencil, cff, cfb, cbb),
-                   dense_stencil_hessian(n, *stencil, cff, cfb, cbb))
+    assert_band_is(stencil_band(n, 0, 1, 2, cff, cfb, cbb),
+                   dense_stencil_hessian(n, i - 1, i, i + 1, cff, cfb, cbb))
     # the continuum elements (e, e, e + 1), forward difference only
     e = np.arange(n - 1)
     coef, zero = rng.uniform(-2.0, 2.0, len(e)), np.zeros(len(e))
     coef[7] = 0.0
-    stencil = (e, e, e + 1)
-    assert_band_is(stencil_band(n, *stencil, coef, zero, zero),
-                   dense_stencil_hessian(n, *stencil, coef, zero, zero))
+    assert_band_is(stencil_band(n, 0, 0, 1, coef, zero, zero),
+                   dense_stencil_hessian(n, e, e, e + 1, coef, zero, zero))
 
     # the oracle's padded problem at a random state: sites -r_c - 2 .. r_c + 2,
     # every site with a neighbour on each side carries a site energy
@@ -118,16 +116,31 @@ def test_band_holds_the_stencil_hessian_bit_for_bit():
     u[pad:-pad] = rng.uniform(-0.05, 0.05, n)
     diffs = u[idx + 1] - u[idx], u[idx - 1] - u[idx]
     hess = site_hessian_arrays(*diffs)
-    ab = stencil_band(size, *stencil, *hess)
+    ab = stencil_band(size, 0, 1, 2, *hess)
     assert_band_is(ab, dense_stencil_hessian(size, *stencil, *hess))
     # one Newton step of the padded block, banded LU against sparse LU; both
     # are backward stable, and this block's condition number is about 1.6e6,
     # so they agree to about 1e-12, not to the last bit
     vf, vb = site_gradient_arrays(*diffs)
-    g = stencil_gradient(size, *stencil, vf, vb)[pad:-pad] - force_values(dec.sites, GAMMA)
+    g = stencil_gradient(size, 0, 1, 2, vf, vb)[pad:-pad] - force_values(dec.sites, GAMMA)
     banded = solve_banded((k, k), ab[:, pad:-pad], -g)
     sparse = spla.spsolve(band_csr(ab)[pad:-pad, pad:-pad].tocsc(), -g)
     assert np.max(np.abs(banded - sparse)) <= 1e-11 * np.max(np.abs(sparse))
+
+
+@pytest.mark.parametrize("offsets", [(0, 1, 2), (0, 0, 1)], ids=["lattice", "elements"])
+def test_stencil_gradient_is_the_bincount_scatter_bit_for_bit(offsets):
+    # each weight vector lands in zeros, as np.bincount adds it to 0.0; a
+    # -0.0 weight becomes 0.0 either way
+    rng = np.random.default_rng(31)
+    n = 40
+    back, centre, fwd = (np.arange(n - 2) + k for k in offsets)
+    vf, vb = rng.uniform(-2.0, 2.0, (2, n - 2))
+    vf[3], vb[4] = -0.0, -0.0
+    expect = ((np.bincount(fwd, weights=vf, minlength=n)
+               + np.bincount(back, weights=vb, minlength=n))
+              - np.bincount(centre, weights=vf + vb, minlength=n))
+    assert stencil_gradient(n, *offsets, vf, vb).tobytes() == expect.tobytes()
 
 
 def test_full_atomistic_approaches_exact_solution_as_domain_grows():
