@@ -19,12 +19,13 @@ states (the objective's constant Hessian plus the adjoint-contracted third
 derivatives of the subproblem energies) and B the constraint linearizations.
 Each step gathers the matrix from the models' Hessian bands into a canonical
 CSC pattern that the first step builds, with the constant objective and
-constraint entries stored in the pattern; only the gradient keeps dense
-products.
+constraint entries stored in the pattern.  Only the gradient keeps dense
+products, all on one scratch array that the problem keeps zeroed.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .domain import COMPOSITE_BYTES_PER_SITE, DomainDecomposition, GradedMesh, require_memory
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
-from .models import AtomisticModel, ContinuumModel, ExternalForce, band_csr, manufacture_forces
+from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces
 from .potentials import INTERACTION_RANGE
 
 BLOCK_NAMES = ("u_a", "u_c_minus", "u_c_plus",
@@ -184,6 +185,32 @@ def _condition_estimate(matrix, lu, scale):
     return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
 
 
+def _band_slots(n: int):
+    """The slots of a stencil_band array of n columns that lie in the matrix.
+
+    Returns (slot, row, col): slot indexes the raveled band, and holds the
+    matrix entry (row, col).
+    """
+    k = INTERACTION_RANGE
+    diag, col = np.divmod(np.arange((2 * k + 1) * n), n)
+    row = col + diag - k
+    slot = np.flatnonzero((row >= 0) & (row < n))
+    return slot, row[slot], col[slot]
+
+
+def _summed_entries(shape, *triplets):
+    """(shape, flat positions, values) of a C-ordered array of this shape.
+
+    Each triplet (rows, cols, vals) is broadcast together; duplicate
+    positions are summed in input order, which is exact for the +-1
+    coefficients of J.
+    """
+    rows, cols, vals = (np.concatenate(x, axis=None)
+                        for x in zip(*(np.broadcast_arrays(*t) for t in triplets)))
+    pos, at = np.unique(rows * shape[1] + cols, return_inverse=True)
+    return shape, pos, np.bincount(at, weights=vals)
+
+
 def check_tolerance(tolerance: float) -> None:
     """Raise a UsageError unless the Newton tolerance is finite and positive."""
     if not 0.0 < tolerance < np.inf:
@@ -279,33 +306,37 @@ class CoupledProblem:
         # Overlap element k of a side spans nodes a[:, k] of u_a and c[:, k]
         # of the side's full nodal vector; its strain mismatch is
         # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
-        # Hessian J sums the outer products of those coefficients.  J is held
-        # dense for the gradient, and also as triplets in the coordinates of
-        # the displacement unknowns (duplicates to be summed) for the KKT
-        # pattern.  The mean-zero rows C hold the trapezoid weights on each
-        # overlap's nodes, + on u_a and - on the side; row 0 (eta[0]) is the
-        # plus side's, row 1 the minus side's.
+        # Hessian J sums the outer products of those coefficients.  Each block
+        # of J (u_a-u_a, then u_a-side and side-side for the minus and the
+        # plus side) is held as the summed entries of a dense C-ordered array
+        # of its shape, for the gradient's products and the KKT pattern.  The
+        # mean-zero rows C hold the trapezoid weights on each overlap's nodes,
+        # + on u_a and - on the side; row 0 (eta[0]) is the plus side's, row 1
+        # the minus side's.
         sign = np.array([-1.0, 1.0, 1.0, -1.0])
         coef = np.outer(sign, sign)[:, :, None]
-        self._j_aa = np.zeros((na, na))
-        self._j_cc = [np.zeros((minus.n, minus.n)), np.zeros((plus.n, plus.n))]
-        self._j_ac = [np.zeros((na, minus.n)), np.zeros((na, plus.n))]
-        rows, cols, vals = [], [], []
-        for side, (ov_a, ov_c, block, cont) in enumerate((
-                (self.ov_minus_a, self.ov_minus_c, "u_c_minus", minus),
-                (self.ov_plus_a, self.ov_plus_c, "u_c_plus", plus))):
+        aa, ac, cc = [], [], []
+        for ov_a, ov_c, cont in ((self.ov_minus_a, self.ov_minus_c, minus),
+                                 (self.ov_plus_a, self.ov_plus_c, plus)):
             a = np.array((ov_a[:-1], ov_a[1:]))
             c = np.array((ov_c[:-1], ov_c[1:]))
-            np.add.at(self._j_aa, (a[:, None], a[None]), coef[:2, :2])
-            np.add.at(self._j_ac[side], (a[:, None], c[None]), coef[:2, 2:])
-            np.add.at(self._j_cc[side], (c[:, None], c[None]), coef[2:, 2:])
-            # u_a comes first among the unknowns, then each side's free nodes
-            q = np.concatenate((a, c + self.layout[block].start - cont.free_slice.start))
-            rows.append(np.repeat(q, 4, axis=0))
-            cols.append(np.tile(q, (4, 1)))
-            vals.append(np.repeat(coef, w, axis=2))
-        self._j_triplets = tuple(np.concatenate(x, axis=None) for x in (rows, cols, vals))
+            aa.append((a[:, None], a[None], coef[:2, :2]))
+            ac.append(_summed_entries((na, cont.n), (a[:, None], c[None], coef[:2, 2:])))
+            cc.append(_summed_entries((cont.n, cont.n), (c[:, None], c[None], coef[2:, 2:])))
+        self._j_blocks = (_summed_entries((na, na), *aa), *ac, *cc)
         self._kkt_pattern = None
+        # the in-matrix slots of the three Hessian bands, as flat positions
+        # of dense (n, n) arrays
+        self._hessian_slots = []
+        for n in (na, minus.n, plus.n):
+            slot, row, col = _band_slots(n)
+            self._hessian_slots.append(((n, n), row * n + col, slot))
+        # every dense product of the gradient writes its entries here, and
+        # zeros back after.  An anonymous mapping is zero-filled, and its
+        # pages that are never written stay unallocated: np.zeros would ask
+        # for huge pages, and writes along the band would then fill them all
+        self._scratch = np.frombuffer(mmap.mmap(-1, 8 * max(na, minus.n, plus.n) ** 2,
+                                                flags=mmap.MAP_PRIVATE))
 
     # ---------------- states ----------------
 
@@ -361,22 +392,42 @@ class CoupledProblem:
         lam_p[1:-1] = state.lam_c_plus
         return lam_a, lam_m, lam_p
 
+    def _dense_product(self, shape, pos, vals, v, transpose=False) -> np.ndarray:
+        """a @ v, or a.T @ v, for the C-ordered array a of this shape whose
+        entries at the flat positions pos are vals and are zero elsewhere.
+
+        The product is a dense BLAS product on a C-ordered view of the
+        scratch, or on that view's transpose; a sparse product, or a
+        Fortran-ordered copy, sums the rows in another order, and one ULP in
+        the gradient moves the converged err_l2 past 1e-6 relative (gamma 3,
+        r_core 320).  The scratch is zero again on return.
+        """
+        flat = self._scratch[:shape[0] * shape[1]]
+        flat[pos] = vals
+        try:
+            a = flat.reshape(shape)
+            return (a.T if transpose else a) @ v
+        finally:
+            flat[pos] = 0.0
+
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
         full_m, full_p = self._full_sides(state)
         lam_a, lam_m, lam_p = self._adjoint_fields(state)
         minus, plus = self.continuum.minus, self.continuum.plus
         g = np.zeros(self.layout.total)
 
-        # The products below stay dense BLAS products on C-ordered arrays.
-        # A sparse product, or a Fortran-ordered operand, sums the rows in
-        # another order, and one ULP in the gradient moves the converged
-        # err_l2 past 1e-6 relative (gamma 3, r_core 320).
-        gj_a = self._j_aa @ state.u_a + self._j_ac[0] @ full_m + self._j_ac[1] @ full_p
-        gj_m = self._j_ac[0].T @ state.u_a + self._j_cc[0] @ full_m
-        gj_p = self._j_ac[1].T @ state.u_a + self._j_cc[1] @ full_p
-        adj_a = band_csr(self.atomistic.hessian(state.u_a)).toarray() @ lam_a
-        adj_m = band_csr(minus.hessian(full_m)).toarray() @ lam_m
-        adj_p = band_csr(plus.hessian(full_p)).toarray() @ lam_p
+        product = self._dense_product
+        aa, ac_m, ac_p, cc_m, cc_p = self._j_blocks
+        gj_a = product(*aa, state.u_a) + product(*ac_m, full_m) + product(*ac_p, full_p)
+        gj_m = product(*ac_m, state.u_a, transpose=True) + product(*cc_m, full_m)
+        gj_p = product(*ac_p, state.u_a, transpose=True) + product(*cc_p, full_p)
+        # the Hessians' in-matrix band entries; + 0.0 turns a -0.0 into the
+        # zero of an entry a sparse matrix would not store
+        hessians = (self.atomistic.hessian(state.u_a), minus.hessian(full_m),
+                    plus.hessian(full_p))
+        adj_a, adj_m, adj_p = (product(shape, pos, ab.ravel()[slot] + 0.0, lam)
+                               for (shape, pos, slot), ab, lam
+                               in zip(self._hessian_slots, hessians, (lam_a, lam_m, lam_p)))
 
         g_a, g_m, g_p = gj_a + adj_a, gj_m + adj_m, gj_p + adj_p
         # C^T eta: an overlap node lies in one mean-zero row only
@@ -423,22 +474,24 @@ class CoupledProblem:
                 (to_block(na, self.atomistic.test_idx, "lam_a"), u_a),
                 (to_block(minus.n, np.arange(1, minus.n - 1), "lam_c_minus"), u_m),
                 (to_block(plus.n, np.arange(1, plus.n - 1), "lam_c_plus"), u_p))
-        k = INTERACTION_RANGE
         entries = []
         offset = 0
         for row_at, col_at in maps:
-            size = len(row_at)
-            # slot f of a (2k+1, size) band holds entry (col + diag - k, col)
-            diag, col = np.divmod(np.arange((2 * k + 1) * size), size)
-            row = col + diag - k
-            slot = np.flatnonzero((row >= 0) & (row < size))
-            slot = slot[(row_at[row[slot]] >= 0) & (col_at[col[slot]] >= 0)]
-            entries.append((row_at[row[slot]], col_at[col[slot]], offset + slot))
-            offset += (2 * k + 1) * size
+            slot, row, col = _band_slots(len(row_at))
+            keep = (row_at[row] >= 0) & (col_at[col] >= 0)
+            entries.append((row_at[row[keep]], col_at[col[keep]], offset + slot[keep]))
+            offset += (2 * INTERACTION_RANGE + 1) * len(row_at)
         entries += [(c, r, f) for r, c, f in entries[3:]]
         rows, cols, source = (np.concatenate(x) for x in zip(*entries))
-        # J, C and C^T are constants on the trailing zero, flat[offset]
-        j_rows, j_cols, j_vals = self._j_triplets
+        # J, C and C^T are constants on the trailing zero, flat[offset]; J's
+        # u_a-side blocks are also placed transposed
+        j = []
+        for (shape, pos, vals), row_at, col_at in zip(
+                self._j_blocks, (u_a, u_a, u_a, u_m, u_p), (u_a, u_m, u_p, u_m, u_p)):
+            row, col = np.divmod(pos, shape[1])
+            j.append((row_at[row], col_at[col], vals))
+        j += [(c, r, v) for r, c, v in j[1:3]]
+        j_rows, j_cols, j_vals = (np.concatenate(x) for x in zip(*j))
         u = np.concatenate((u_a[self.ov_plus_a], u_p[self.ov_plus_c],
                             u_a[self.ov_minus_a], u_m[self.ov_minus_c]))
         eta = np.repeat(lay["eta"].start + np.arange(2), 2 * len(self.trapz))
@@ -448,7 +501,8 @@ class CoupledProblem:
         cols = np.concatenate((cols, j_cols, u, eta))
         source = np.concatenate((source, np.full(len(rows) - len(source), offset)))
         # one entry per position, in column-major order, sourced from its band
-        # slot if it has one; the sums of J's +-1 triplets are exact
+        # slot if it has one; J's entries are small integers, so adding them
+        # to the band slots' zeros is exact
         key, at = np.unique(cols * n + rows, return_inverse=True)
         band_slot = np.full(len(key), offset)
         np.minimum.at(band_slot, at, source)

@@ -16,7 +16,6 @@ side holds one value per mesh node with the outer node pinned to zero.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import domain
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks
@@ -143,12 +142,6 @@ def stencil_band(n: int, back: int, centre: int, fwd: int, cff, cfb, cbb) -> np.
     return ab
 
 
-def band_csr(ab) -> sp.csr_matrix:
-    """CSR matrix of the square band storage ab, without stored zeros."""
-    k, n = len(ab) // 2, ab.shape[1]
-    return sp.dia_matrix((ab, np.arange(k, -k - 1, -1)), shape=(n, n)).tocsr()
-
-
 class AtomisticModel:
     """Site-energy sum over the atomistic region with external force work.
 
@@ -246,25 +239,41 @@ class ContinuumSide:
         f holds the site forces at first .. first + len(f) - 1.  The force
         interpolant is linear on each interval, so its integral against
         each of the two hat functions there is quadratic and the weighted
-        two-point trapezoid rule below is exact.  sums = (left, right) hold
-        per node the running totals over the element to its right and to its
-        left; each enters np.bincount ahead of the new terms, and np.bincount
-        adds in input order from 0.0, so a node's total continues exactly.
+        two-point trapezoid rule below is exact.  The range is cut into runs
+        at the element boundaries it spans.  On an interval j sites into an
+        element of length h, the hats are (h - j) / h and j / h at its left
+        end, and their values at its right end are the next interval's, so
+        only the last interval of a run divides again.  Every numerator is
+        an exact integer.  sums = (left, right) hold per node the running
+        totals over the element to its right and to its left; each enters
+        np.bincount ahead of the new terms, and np.bincount adds in input
+        order from 0.0, so a node's total continues exactly.
         """
-        m = np.arange(first, first + len(f) - 1)
-        elem = np.searchsorted(self.nodes, m, side="right") - 1
-        m = m.astype(float)
-        xl, xr = self.x[elem], self.x[elem + 1]
-        h = xr - xl
+        last = first + len(f) - 1
+        # elements e0 .. e1 - 1 hold the intervals first .. last - 1
+        e0 = int(np.searchsorted(self.nodes, first, side="right")) - 1
+        e1 = int(np.searchsorted(self.nodes, last - 1, side="right"))
+        counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
+        j = np.arange(first, last) - np.repeat(self.nodes[e0:e1], counts)
+        h = np.repeat(self.h[e0:e1], counts)
+        # the hats of the element's left node (pl) and right node (pr) at the
+        # interval's two ends
+        pr0, pl0 = j / h, (h - j) / h
+        pr1, pl1 = np.empty_like(pr0), np.empty_like(pl0)
+        pr1[:-1], pl1[:-1] = pr0[1:], pl0[1:]
+        end = np.cumsum(counts) - 1
+        pr1[end], pl1[end] = (j[end] + 1) / h[end], (h[end] - j[end] - 1) / h[end]
         fm, fp = f[:-1], f[1:]
-        # hat function of the left node on [m, m+1], then the right node
-        pl0, pl1 = (xr - m) / h, (xr - m - 1.0) / h
-        pr0, pr1 = (m - xl) / h, (m + 1.0 - xl) / h
-        left = (2.0 * fm * pl0 + fm * pl1 + fp * pl0 + 2.0 * fp * pl1) / 6.0
-        right = (2.0 * fm * pr0 + fm * pr1 + fp * pr0 + 2.0 * fp * pr1) / 6.0
-        e0, e1 = elem[0], elem[-1] + 1
-        bins = np.concatenate((np.arange(e1 - e0), elem - e0))
-        for total, terms, shift in zip(sums, (left, right), (0, 1)):
+        fm2, fp2 = 2.0 * fm, 2.0 * fp
+        tmp = np.empty(len(j))
+        bins = np.concatenate((np.arange(e1 - e0), np.repeat(np.arange(e1 - e0), counts)))
+        for total, p0, p1, shift in zip(sums, (pl0, pr0), (pl1, pr1), (0, 1)):
+            # (2 fm p0 + fm p1 + fp p0 + 2 fp p1) / 6, summed left to right
+            terms = fm2 * p0
+            terms += np.multiply(fm, p1, out=tmp)
+            terms += np.multiply(fp, p0, out=tmp)
+            terms += np.multiply(fp2, p1, out=tmp)
+            terms /= 6.0
             held = total[e0 + shift:e1 + shift]
             held[:] = np.bincount(bins, weights=np.concatenate((held, terms)))
 

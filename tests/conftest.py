@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from atc import (
     CoupledProblem,
@@ -70,3 +71,9 @@ def rel_err_inf(a, b):
     b = np.asarray(b, dtype=float)
     denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / denom
+
+
+def band_csr(ab) -> sp.csr_matrix:
+    """CSR matrix of the square stencil_band storage ab, without stored zeros."""
+    k, n = len(ab) // 2, ab.shape[1]
+    return sp.dia_matrix((ab, np.arange(k, -k - 1, -1)), shape=(n, n)).tocsr()

@@ -23,8 +23,7 @@ from atc import (
     solve_kkt_linear,
 )
 from atc.coupling import damped_newton
-from atc.models import band_csr
-from conftest import GAMMA, fd_gradient, random_state, rel_err_inf
+from conftest import GAMMA, band_csr, fd_gradient, random_state, rel_err_inf
 
 # frozen run record: damped Newton from the zero state, r_core=10, gamma=1.5
 NEWTON_ITERS_10 = 6
@@ -226,6 +225,70 @@ def test_gradient_adjoint_blocks_are_raw_residuals(small_problem):
     c_plus, c_minus = small_problem.mean_zero_constraints(
         state.u_a, state.u_c_minus, state.u_c_plus)
     assert g[layout["eta"]][0] == c_plus and g[layout["eta"]][1] == c_minus
+
+
+def dense_gradient(problem, state):
+    """lagrangian_gradient with J by np.add.at and each Hessian as a fresh dense array."""
+    full_m, full_p = problem._full_sides(state)
+    lam_a, lam_m, lam_p = problem._adjoint_fields(state)
+    atomistic, minus, plus = problem.atomistic, problem.continuum.minus, problem.continuum.plus
+    na = atomistic.n
+    coef = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])[:, :, None]
+    j_aa = np.zeros((na, na))
+    j_ac = [np.zeros((na, minus.n)), np.zeros((na, plus.n))]
+    j_cc = [np.zeros((minus.n, minus.n)), np.zeros((plus.n, plus.n))]
+    for side, (ov_a, ov_c) in enumerate(((problem.ov_minus_a, problem.ov_minus_c),
+                                         (problem.ov_plus_a, problem.ov_plus_c))):
+        a = np.array((ov_a[:-1], ov_a[1:]))
+        c = np.array((ov_c[:-1], ov_c[1:]))
+        np.add.at(j_aa, (a[:, None], a[None]), coef[:2, :2])
+        np.add.at(j_ac[side], (a[:, None], c[None]), coef[:2, 2:])
+        np.add.at(j_cc[side], (c[:, None], c[None]), coef[2:, 2:])
+    g_a = (j_aa @ state.u_a + j_ac[0] @ full_m + j_ac[1] @ full_p
+           + band_csr(atomistic.hessian(state.u_a)).toarray() @ lam_a)
+    g_m = (j_ac[0].T @ state.u_a + j_cc[0] @ full_m
+           + band_csr(minus.hessian(full_m)).toarray() @ lam_m)
+    g_p = (j_ac[1].T @ state.u_a + j_cc[1] @ full_p
+           + band_csr(plus.hessian(full_p)).toarray() @ lam_p)
+    eta_p, eta_m = state.eta
+    g_a[problem.ov_plus_a] += problem.trapz * eta_p
+    g_a[problem.ov_minus_a] += problem.trapz * eta_m
+    g_m[problem.ov_minus_c] -= problem.trapz * eta_m
+    g_p[problem.ov_plus_c] -= problem.trapz * eta_p
+    return np.concatenate((
+        g_a, g_m[minus.free_slice], g_p[plus.free_slice],
+        atomistic.equilibrium_residual(state.u_a),
+        minus.gradient(full_m)[1:-1], plus.gradient(full_p)[1:-1],
+        problem.mean_zero_constraints(state.u_a, state.u_c_minus, state.u_c_plus)))
+
+
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+def test_gradient_equals_dense_products_bit_for_bit(request, problem):
+    # states A, B and A again: an entry the scratch kept from B changes A
+    problem = request.getfixturevalue(problem)
+    rng = np.random.default_rng(31)
+    a, b = random_state(problem, rng), random_state(problem, rng)
+    for state in (a, b, a):
+        g = problem.lagrangian_gradient(state)
+        assert g.tobytes() == dense_gradient(problem, state).tobytes()
+        assert not np.any(problem._scratch)
+
+
+def test_gradient_allocates_no_square_array():
+    # one fresh (1281, 1281) float array is 13.1 MB
+    import tracemalloc
+
+    dec = make_decomposition(320, 3.0)
+    problem = CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
+    state = random_state(problem, np.random.default_rng(32))
+    problem.lagrangian_gradient(state)
+    tracemalloc.start()
+    try:
+        problem.lagrangian_gradient(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_hessian_zero_blocks_exact(small_problem):

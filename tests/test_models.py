@@ -19,8 +19,7 @@ from atc import (
     manufacture_forces,
     measure_errors,
 )
-from atc.models import band_csr
-from conftest import GAMMA, fd_gradient, rel_err_inf
+from conftest import GAMMA, band_csr, fd_gradient, rel_err_inf
 
 
 @pytest.fixture(scope="module")
@@ -285,15 +284,24 @@ def one_shot_errors(problem, state):
     return float(np.sqrt(np.dot(d, d))), float(np.max(np.abs(d)))
 
 
-@pytest.mark.parametrize("chunk", [5, 64])
-@pytest.mark.parametrize("r_core", [10, 20])
-def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, chunk, r_core):
+# chunks of 2 and 3 sites give one-interval ranges, and ranges that start
+# and end inside an element; gamma 3 has a mesh of other proportions
+CHUNKED_CASES = ([pytest.param(GAMMA, r_core, chunk, id=f"{r_core}-{chunk}")
+                  for r_core, chunks in ((10, (2, 3, 5, 64)), (20, (5, 64)))
+                  for chunk in chunks]
+                 + [pytest.param(3.0, 20, chunk, id=f"gamma3-20-{chunk}")
+                    for chunk in (2, 3, 5, 64)])
+
+
+@pytest.mark.parametrize("gamma,r_core,chunk", CHUNKED_CASES)
+def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, gamma, r_core,
+                                                                chunk):
     # the sweep cuts elements longer than a chunk into sub-chunks and
     # carries each node's running total across them: the loads must be the
     # one-shot bincount's bytes; err_l2 sums its squares in another order
     monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
-    dec = make_decomposition(r_core, GAMMA)
-    problem = CoupledProblem(dec, build_graded_mesh(dec, GAMMA), GAMMA)
+    dec = make_decomposition(r_core, gamma)
+    problem = CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma)
     assert max(np.diff(problem.mesh.nodes)) > chunk
     for side in (problem.continuum.minus, problem.continuum.plus):
         assert side.load.tobytes() == one_shot_load(side, problem.force).tobytes()

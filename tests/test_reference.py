@@ -17,10 +17,10 @@ from atc import (
     max_norm_error,
     solve_full_atomistic,
 )
-from atc.models import band_csr, force_values, stencil_band, stencil_gradient
+from atc.models import force_values, stencil_band, stencil_gradient
 from atc.potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
 from atc.reference import coarsening_term_sq, truncation_tail_sq
-from conftest import GAMMA
+from conftest import GAMMA, band_csr
 
 
 # r_core -> (iterations, energy_seminorm_error of the values against the
