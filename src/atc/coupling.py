@@ -37,8 +37,9 @@ from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError,
 from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces
 from .potentials import INTERACTION_RANGE
 
-BLOCK_NAMES = ("u_a", "u_c_minus", "u_c_plus",
-               "lam_a", "lam_c_minus", "lam_c_plus", "eta")
+# each model's unknown and adjoint blocks, in the order of CoupledProblem.models
+MODEL_BLOCKS = (("u_a", "lam_a"), ("u_c_minus", "lam_c_minus"), ("u_c_plus", "lam_c_plus"))
+BLOCK_NAMES = (*(u for u, _ in MODEL_BLOCKS), *(lam for _, lam in MODEL_BLOCKS), "eta")
 
 # Backtracking line search: each rejected trial halves the step, a trial is
 # accepted when it cuts the residual by the fraction 1e-4 * step, and steps
@@ -96,6 +97,24 @@ for _name in BLOCK_NAMES:
     setattr(SystemState, _name,
             property(lambda self, _name=_name: self.vector[self.layout[_name]]))
 del _name
+
+
+@dataclass(frozen=True)
+class Overlap:
+    """One overlap of the atomistic region and a continuum side.
+
+    side is the side's index in CoupledProblem.models; c holds the side's
+    nodes inside [-r_a, r_a] as side indices and a the same sites as u_a
+    indices; row is the overlap's mean-zero row in eta.  j_ac and j_cc are
+    its u_a-side and side-side blocks of J, as _summed_entries.
+    """
+
+    side: int
+    a: np.ndarray
+    c: np.ndarray
+    row: int
+    j_ac: tuple
+    j_cc: tuple
 
 
 @dataclass
@@ -281,61 +300,53 @@ class CoupledProblem:
         self.force = force
         self.atomistic = AtomisticModel(dec, self.force)
         self.continuum = ContinuumModel(dec, mesh, self.force)
-        minus, plus = self.continuum.minus, self.continuum.plus
-
+        self.models = (self.atomistic, self.continuum.minus, self.continuum.plus)
         na = self.atomistic.n
-        self.layout = BlockLayout({
-            "u_a": na,
-            "u_c_minus": minus.n - 1,
-            "u_c_plus": plus.n - 1,
-            "lam_a": len(self.atomistic.test_idx),
-            "lam_c_minus": minus.n - 2,
-            "lam_c_plus": plus.n - 2,
-            "eta": 2,
-        })
 
         w = dec.overlap_width
-        # overlap node positions: in u_a and in each side's full nodal vector
-        self.ov_plus_a = np.arange(dec.r_core + dec.r_a, 2 * dec.r_a + 1)
-        self.ov_plus_c = np.arange(0, w + 1)
-        self.ov_minus_a = np.arange(0, w + 1)
-        self.ov_minus_c = np.arange(minus.n - 1 - w, minus.n)
         self.trapz = np.ones(w + 1)
         self.trapz[0] = self.trapz[-1] = 0.5
-
         # Overlap element k of a side spans nodes a[:, k] of u_a and c[:, k]
         # of the side's full nodal vector; its strain mismatch is
         # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
         # Hessian J sums the outer products of those coefficients.  Each block
-        # of J (u_a-u_a, then u_a-side and side-side for the minus and the
-        # plus side) is held as the summed entries of a dense C-ordered array
-        # of its shape, for the gradient's products and the KKT pattern.  The
+        # of J (u_a-u_a over both overlaps, then u_a-side and side-side per
+        # overlap) is held as the summed entries of a dense C-ordered array of
+        # its shape, for the gradient's products and the KKT pattern.  The
         # mean-zero rows C hold the trapezoid weights on each overlap's nodes,
-        # + on u_a and - on the side; row 0 (eta[0]) is the plus side's, row 1
-        # the minus side's.
+        # + on u_a and - on the side.  eta's rows take the sides from the
+        # right: row 0 is the plus side's.
         sign = np.array([-1.0, 1.0, 1.0, -1.0])
         coef = np.outer(sign, sign)[:, :, None]
-        aa, ac, cc = [], [], []
-        for ov_a, ov_c, cont in ((self.ov_minus_a, self.ov_minus_c, minus),
-                                 (self.ov_plus_a, self.ov_plus_c, plus)):
-            a = np.array((ov_a[:-1], ov_a[1:]))
-            c = np.array((ov_c[:-1], ov_c[1:]))
-            aa.append((a[:, None], a[None], coef[:2, :2]))
-            ac.append(_summed_entries((na, cont.n), (a[:, None], c[None], coef[:2, 2:])))
-            cc.append(_summed_entries((cont.n, cont.n), (c[:, None], c[None], coef[2:, 2:])))
-        self._j_blocks = (_summed_entries((na, na), *aa), *ac, *cc)
+        aa, self.overlaps = [], []
+        for k, side in enumerate(self.models[1:], 1):
+            c = np.flatnonzero(np.abs(side.nodes) <= dec.r_a)
+            a = side.nodes[c] + dec.r_a
+            ea, ec = np.array((a[:-1], a[1:])), np.array((c[:-1], c[1:]))
+            aa.append((ea[:, None], ea[None], coef[:2, :2]))
+            self.overlaps.append(Overlap(
+                k, a, c, len(self.models) - 1 - k,
+                _summed_entries((na, side.n), (ea[:, None], ec[None], coef[:2, 2:])),
+                _summed_entries((side.n, side.n), (ec[:, None], ec[None], coef[2:, 2:]))))
+        self._j_aa = _summed_entries((na, na), *aa)
+
+        sizes = {u: len(range(m.n)[m.free_slice]) for m, (u, _) in zip(self.models, MODEL_BLOCKS)}
+        sizes.update({lam: len(m.test_idx) for m, (_, lam) in zip(self.models, MODEL_BLOCKS)})
+        sizes["eta"] = len(self.overlaps)
+        self.layout = BlockLayout(sizes)
+
         self._kkt_pattern = None
-        # the in-matrix slots of the three Hessian bands, as flat positions
+        # the in-matrix slots of the models' Hessian bands, as flat positions
         # of dense (n, n) arrays
         self._hessian_slots = []
-        for n in (na, minus.n, plus.n):
-            slot, row, col = _band_slots(n)
-            self._hessian_slots.append(((n, n), row * n + col, slot))
+        for m in self.models:
+            slot, row, col = _band_slots(m.n)
+            self._hessian_slots.append(((m.n, m.n), row * m.n + col, slot))
         # every dense product of the gradient writes its entries here, and
         # zeros back after.  An anonymous mapping is zero-filled, and its
         # pages that are never written stay unallocated: np.zeros would ask
         # for huge pages, and writes along the band would then fill them all
-        self._scratch = np.frombuffer(mmap.mmap(-1, 8 * max(na, minus.n, plus.n) ** 2,
+        self._scratch = np.frombuffer(mmap.mmap(-1, 8 * max(m.n for m in self.models) ** 2,
                                                 flags=mmap.MAP_PRIVATE))
 
     # ---------------- states ----------------
@@ -343,54 +354,53 @@ class CoupledProblem:
     def zero_state(self) -> SystemState:
         return SystemState(self.layout, np.zeros(self.layout.total))
 
-    def _full_sides(self, state: SystemState):
-        return (self.continuum.minus.embed(state.u_c_minus),
-                self.continuum.plus.embed(state.u_c_plus))
+    def _unknowns(self, state: SystemState) -> list:
+        """Each model's unknowns, in model order."""
+        return [state.vector[self.layout[u]] for u, _ in MODEL_BLOCKS]
+
+    def _fields(self, state: SystemState):
+        """Each model's unknowns and adjoint as full-length fields, in model
+        order; an adjoint is zero off its model's test set."""
+        fields, adjoints = [], []
+        for m, u, (_, lam) in zip(self.models, self._unknowns(state), MODEL_BLOCKS):
+            fields.append(m.embed(u))
+            adjoint = np.zeros(m.n)
+            adjoint[m.test_idx] = state.vector[self.layout[lam]]
+            adjoints.append(adjoint)
+        return fields, adjoints
 
     # ---------------- coupling quantities ----------------
 
-    def objective(self, u_a, u_c_minus, u_c_plus) -> float:
-        """Half the squared L2 norm of the overlap strain mismatch."""
-        u_a = np.asarray(u_a, dtype=float)
-        full_m = self.continuum.minus.embed(u_c_minus)
-        full_p = self.continuum.plus.embed(u_c_plus)
-        dm = np.diff(u_a[self.ov_minus_a]) - np.diff(full_m[self.ov_minus_c])
-        dp = np.diff(u_a[self.ov_plus_a]) - np.diff(full_p[self.ov_plus_c])
-        return float(0.5 * (np.dot(dm, dm) + np.dot(dp, dp)))
+    def objective(self, *unknowns) -> float:
+        """Half the squared L2 norm of the overlap strain mismatch.
 
-    def mean_zero_constraints(self, u_a, u_c_minus, u_c_plus) -> tuple[float, float]:
-        """Exact integrals of (I u_a - u_c) over the (positive, negative) components."""
-        u_a = np.asarray(u_a, dtype=float)
-        full_m = self.continuum.minus.embed(u_c_minus)
-        full_p = self.continuum.plus.embed(u_c_plus)
-        c_plus = np.dot(self.trapz, u_a[self.ov_plus_a] - full_p[self.ov_plus_c])
-        c_minus = np.dot(self.trapz, u_a[self.ov_minus_a] - full_m[self.ov_minus_c])
-        return float(c_plus), float(c_minus)
+        unknowns are the models' unknowns in model order (u_a, u_c_minus,
+        u_c_plus); the overlaps are summed in the order of self.overlaps.
+        """
+        u = [m.embed(x) for m, x in zip(self.models, unknowns)]
+        d = [np.diff(u[0][ov.a]) - np.diff(u[ov.side][ov.c]) for ov in self.overlaps]
+        return float(0.5 * sum(np.dot(x, x) for x in d))
+
+    def mean_zero_constraints(self, *unknowns) -> tuple[float, ...]:
+        """Exact integrals of (I u_a - u_c) over each overlap, in eta-row
+        order: the positive component first."""
+        u = [m.embed(x) for m, x in zip(self.models, unknowns)]
+        values = [0.0] * len(self.overlaps)
+        for ov in self.overlaps:
+            values[ov.row] = float(np.dot(self.trapz, u[0][ov.a] - u[ov.side][ov.c]))
+        return tuple(values)
 
     # ---------------- stationarity functional ----------------
 
     def lagrangian(self, state: SystemState) -> float:
-        full_m, full_p = self._full_sides(state)
-        j = self.objective(state.u_a, state.u_c_minus, state.u_c_plus)
-        res_a = self.atomistic.equilibrium_residual(state.u_a)
-        res_m = self.continuum.minus.gradient(full_m)[1:-1]
-        res_p = self.continuum.plus.gradient(full_p)[1:-1]
-        c_plus, c_minus = self.mean_zero_constraints(
-            state.u_a, state.u_c_minus, state.u_c_plus)
-        return float(j + np.dot(state.lam_a, res_a)
-                     + np.dot(state.lam_c_minus, res_m)
-                     + np.dot(state.lam_c_plus, res_p)
-                     + state.eta[0] * c_plus + state.eta[1] * c_minus)
-
-    def _adjoint_fields(self, state: SystemState):
-        """The three adjoints as full-length fields, zero off the test set."""
-        lam_a = np.zeros(self.atomistic.n)
-        lam_a[self.atomistic.test_idx] = state.lam_a
-        lam_m = np.zeros(self.continuum.minus.n)
-        lam_m[1:-1] = state.lam_c_minus
-        lam_p = np.zeros(self.continuum.plus.n)
-        lam_p[1:-1] = state.lam_c_plus
-        return lam_a, lam_m, lam_p
+        unknowns = self._unknowns(state)
+        fields, _ = self._fields(state)
+        total = self.objective(*unknowns)
+        for m, field_, (_, lam) in zip(self.models, fields, MODEL_BLOCKS):
+            total += np.dot(state.vector[self.layout[lam]], m.gradient(field_)[m.test_idx])
+        for eta, c in zip(state.eta, self.mean_zero_constraints(*unknowns)):
+            total += eta * c
+        return float(total)
 
     def _dense_product(self, shape, pos, vals, v, transpose=False) -> np.ndarray:
         """a @ v, or a.T @ v, for the C-ordered array a of this shape whose
@@ -411,95 +421,82 @@ class CoupledProblem:
             flat[pos] = 0.0
 
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
-        full_m, full_p = self._full_sides(state)
-        lam_a, lam_m, lam_p = self._adjoint_fields(state)
-        minus, plus = self.continuum.minus, self.continuum.plus
-        g = np.zeros(self.layout.total)
+        fields, adjoints = self._fields(state)
+        lay = self.layout
+        g = np.zeros(lay.total)
 
+        # J's products, u_a's summed over the overlaps in order:
+        # (aa + ac_minus) + ac_plus
         product = self._dense_product
-        aa, ac_m, ac_p, cc_m, cc_p = self._j_blocks
-        gj_a = product(*aa, state.u_a) + product(*ac_m, full_m) + product(*ac_p, full_p)
-        gj_m = product(*ac_m, state.u_a, transpose=True) + product(*cc_m, full_m)
-        gj_p = product(*ac_p, state.u_a, transpose=True) + product(*cc_p, full_p)
+        u_a = fields[0]
+        parts = [product(*self._j_aa, u_a)] + [None] * len(self.overlaps)
+        for ov in self.overlaps:
+            parts[0] = parts[0] + product(*ov.j_ac, fields[ov.side])
+            parts[ov.side] = (product(*ov.j_ac, u_a, transpose=True)
+                              + product(*ov.j_cc, fields[ov.side]))
         # the Hessians' in-matrix band entries; + 0.0 turns a -0.0 into the
         # zero of an entry a sparse matrix would not store
-        hessians = (self.atomistic.hessian(state.u_a), minus.hessian(full_m),
-                    plus.hessian(full_p))
-        adj_a, adj_m, adj_p = (product(shape, pos, ab.ravel()[slot] + 0.0, lam)
-                               for (shape, pos, slot), ab, lam
-                               in zip(self._hessian_slots, hessians, (lam_a, lam_m, lam_p)))
-
-        g_a, g_m, g_p = gj_a + adj_a, gj_m + adj_m, gj_p + adj_p
+        for k, (m, (shape, pos, slot)) in enumerate(zip(self.models, self._hessian_slots)):
+            ab = m.hessian(fields[k])
+            parts[k] = parts[k] + product(shape, pos, ab.ravel()[slot] + 0.0, adjoints[k])
         # C^T eta: an overlap node lies in one mean-zero row only
-        eta_p, eta_m = state.eta
-        g_a[self.ov_plus_a] += self.trapz * eta_p
-        g_a[self.ov_minus_a] += self.trapz * eta_m
-        g_m[self.ov_minus_c] -= self.trapz * eta_m
-        g_p[self.ov_plus_c] -= self.trapz * eta_p
-        g[self.layout["u_a"]] = g_a
-        g[self.layout["u_c_minus"]] = g_m[minus.free_slice]
-        g[self.layout["u_c_plus"]] = g_p[plus.free_slice]
-        g[self.layout["lam_a"]] = self.atomistic.equilibrium_residual(state.u_a)
-        g[self.layout["lam_c_minus"]] = minus.gradient(full_m)[1:-1]
-        g[self.layout["lam_c_plus"]] = plus.gradient(full_p)[1:-1]
-        g[self.layout["eta"]] = self.mean_zero_constraints(
-            state.u_a, state.u_c_minus, state.u_c_plus)
+        for ov in self.overlaps:
+            parts[0][ov.a] += self.trapz * state.eta[ov.row]
+            parts[ov.side][ov.c] -= self.trapz * state.eta[ov.row]
+        for m, part, field_, (u, lam) in zip(self.models, parts, fields, MODEL_BLOCKS):
+            g[lay[u]] = part[m.free_slice]
+            g[lay[lam]] = m.gradient(field_)[m.test_idx]
+        g[lay["eta"]] = self.mean_zero_constraints(*self._unknowns(state))
         return g
 
     def _build_kkt_pattern(self):
         """Canonical CSC pattern of every KKT entry that can be nonzero.
 
         Returns (rows, indptr, source, constant).  Entry e lies in row rows[e]
-        and its value is flat[source[e]] + constant[e], where flat is the six
+        and its value is flat[source[e]] + constant[e], where flat is the
         bands of lagrangian_hessian raveled end to end and then one zero.  A
         band entry's constant is its J entry, or zero; a J or C entry outside
         the bands takes the zero.
         """
         lay, n = self.layout, self.layout.total
-        minus, plus = self.continuum.minus, self.continuum.plus
-        na = self.atomistic.n
 
-        def to_block(size, idx, name):
+        def to_block(m, idx, name):
             # position in K of model index idx[i]; -1 where K leaves one out
-            where = np.full(size, -1)
+            where = np.full(m.n, -1)
             where[idx] = np.arange(lay[name].start, lay[name].stop)
             return where
 
-        u_a = to_block(na, np.arange(na), "u_a")
-        u_m = to_block(minus.n, np.arange(minus.n)[minus.free_slice], "u_c_minus")
-        u_p = to_block(plus.n, np.arange(plus.n)[plus.free_slice], "u_c_plus")
-        # (rows, columns) in K of the third-derivative bands on the u-u
-        # diagonal, then of the Hessians as B, each also placed as B^T
-        maps = ((u_a, u_a), (u_m, u_m), (u_p, u_p),
-                (to_block(na, self.atomistic.test_idx, "lam_a"), u_a),
-                (to_block(minus.n, np.arange(1, minus.n - 1), "lam_c_minus"), u_m),
-                (to_block(plus.n, np.arange(1, plus.n - 1), "lam_c_plus"), u_p))
-        entries = []
-        offset = 0
-        for row_at, col_at in maps:
+        u_at = [to_block(m, np.arange(m.n)[m.free_slice], u)
+                for m, (u, _) in zip(self.models, MODEL_BLOCKS)]
+        lam_at = [to_block(m, m.test_idx, lam) for m, (_, lam) in zip(self.models, MODEL_BLOCKS)]
+        # (rows, columns, flat source, constant) of every entry.  First the
+        # bands: the third derivatives on the u-u diagonal, then the Hessians
+        # as B
+        entries, offset = [], 0
+        for row_at, col_at in [*zip(u_at, u_at), *zip(lam_at, u_at)]:
             slot, row, col = _band_slots(len(row_at))
             keep = (row_at[row] >= 0) & (col_at[col] >= 0)
-            entries.append((row_at[row[keep]], col_at[col[keep]], offset + slot[keep]))
+            entries.append((row_at[row[keep]], col_at[col[keep]], offset + slot[keep], 0.0))
             offset += (2 * INTERACTION_RANGE + 1) * len(row_at)
-        entries += [(c, r, f) for r, c, f in entries[3:]]
-        rows, cols, source = (np.concatenate(x) for x in zip(*entries))
-        # J, C and C^T are constants on the trailing zero, flat[offset]; J's
-        # u_a-side blocks are also placed transposed
-        j = []
-        for (shape, pos, vals), row_at, col_at in zip(
-                self._j_blocks, (u_a, u_a, u_a, u_m, u_p), (u_a, u_m, u_p, u_m, u_p)):
+
+        def place(block, row_at, col_at):
+            shape, pos, vals = block
             row, col = np.divmod(pos, shape[1])
-            j.append((row_at[row], col_at[col], vals))
-        j += [(c, r, v) for r, c, v in j[1:3]]
-        j_rows, j_cols, j_vals = (np.concatenate(x) for x in zip(*j))
-        u = np.concatenate((u_a[self.ov_plus_a], u_p[self.ov_plus_c],
-                            u_a[self.ov_minus_a], u_m[self.ov_minus_c]))
-        eta = np.repeat(lay["eta"].start + np.arange(2), 2 * len(self.trapz))
-        c_vals = np.tile(np.concatenate((self.trapz, -self.trapz)), 2)
-        constant = np.concatenate((np.zeros(len(rows)), j_vals, c_vals, c_vals))
-        rows = np.concatenate((rows, j_rows, eta, u))
-        cols = np.concatenate((cols, j_cols, u, eta))
-        source = np.concatenate((source, np.full(len(rows) - len(source), offset)))
+            return row_at[row], col_at[col], offset, vals
+
+        # then J and C, constants on the trailing zero flat[offset]; B, J's
+        # u_a-side blocks and C are also placed transposed
+        k = len(self.models)
+        mirrored = entries[k:]
+        entries = entries[:k] + [place(self._j_aa, u_at[0], u_at[0])]
+        for ov in self.overlaps:
+            u_c, eta = u_at[ov.side], lay["eta"].start + ov.row
+            entries.append(place(ov.j_cc, u_c, u_c))
+            mirrored += [place(ov.j_ac, u_at[0], u_c), (eta, u_at[0][ov.a], offset, self.trapz),
+                         (eta, u_c[ov.c], offset, -self.trapz)]
+        entries += mirrored + [(c, r, f, v) for r, c, f, v in mirrored]
+        rows, cols, source, constant = (np.concatenate(x, axis=None) for x in zip(
+            *(np.broadcast_arrays(*e) for e in entries)))
         # one entry per position, in column-major order, sourced from its band
         # slot if it has one; J's entries are small integers, so adding them
         # to the band slots' zeros is exact
@@ -517,13 +514,9 @@ class CoupledProblem:
         pattern of _build_kkt_pattern, and exact zeros are dropped, so the
         matrix is canonical CSC without stored zeros.
         """
-        full_m, full_p = self._full_sides(state)
-        lam_a, lam_m, lam_p = self._adjoint_fields(state)
-        minus, plus = self.continuum.minus, self.continuum.plus
-        bands = (self.atomistic.third_contraction(state.u_a, lam_a),
-                 minus.third_contraction(full_m, lam_m),
-                 plus.third_contraction(full_p, lam_p),
-                 self.atomistic.hessian(state.u_a), minus.hessian(full_m), plus.hessian(full_p))
+        fields, adjoints = self._fields(state)
+        bands = ([m.third_contraction(u, lam) for m, u, lam in zip(self.models, fields, adjoints)]
+                 + [m.hessian(u) for m, u in zip(self.models, fields)])
         if self._kkt_pattern is None:
             self._kkt_pattern = self._build_kkt_pattern()
         rows, indptr, source, constant = self._kkt_pattern
@@ -568,12 +561,14 @@ class CoupledProblem:
         side outside it, zero on and beyond the outer boundary.
         """
         sites = np.asarray(sites)
-        minus, plus = self.continuum.minus, self.continuum.plus
+        sides = self.models[1:]
         # np.interp reads only the two knots that bracket a site, so a site
         # beyond r_a sees its own side's element; the sites between the two
         # sides lie in [-r_a, r_a] and take the atomistic values below
-        vals = np.interp(sites, np.concatenate((minus.x, plus.x)),
-                         np.concatenate(self._full_sides(state)), left=0.0, right=0.0)
+        vals = np.interp(sites, np.concatenate([m.x for m in sides]),
+                         np.concatenate([m.embed(u) for m, u
+                                         in zip(sides, self._unknowns(state)[1:])]),
+                         left=0.0, right=0.0)
         r_a = self.dec.r_a
         lo, hi = np.searchsorted(sites, -r_a), np.searchsorted(sites, r_a, side="right")
         vals[lo:hi] = state.u_a[sites[lo:hi] + r_a]

@@ -7,7 +7,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coupling import DEFAULT_TOLERANCE, CoupledProblem, SystemState, check_tolerance
+from .coupling import (DEFAULT_TOLERANCE, MODEL_BLOCKS, CoupledProblem, SystemState,
+                       check_tolerance)
 from .domain import (build_graded_mesh, count_dof, lattice_chunks, make_decomposition,
                      optimal_radii)
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
@@ -184,10 +185,9 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
                   prev_state: SystemState) -> SystemState:
     """Seed a new problem from the previous composite solution (adjoints zero)."""
     state = problem.zero_state()
-    minus, plus = problem.continuum.minus, problem.continuum.plus
-    state.u_a[:] = prev_problem.composite_at(prev_state, problem.dec.atomistic_sites)
-    state.u_c_minus[:] = prev_problem.composite_at(prev_state, minus.nodes)[minus.free_slice]
-    state.u_c_plus[:] = prev_problem.composite_at(prev_state, plus.nodes)[plus.free_slice]
+    for m, (u, _) in zip(problem.models, MODEL_BLOCKS):
+        sampled = prev_problem.composite_at(prev_state, m.nodes)
+        state.vector[problem.layout[u]] = sampled[m.free_slice]
     return state
 
 

@@ -10,7 +10,8 @@ continuum intervals, with the force work integrated exactly.
 Displacement states are plain numpy arrays: the atomistic state holds one
 value per site of the atomistic region (every site is an unknown; sites
 outside the twice-interior act as free boundary controls), and each continuum
-side holds one value per mesh node with the outer node pinned to zero.
+side holds one value per mesh node with the outer node pinned to zero.  Both
+models present one Subproblem interface to the coupling.
 """
 
 from __future__ import annotations
@@ -142,7 +143,20 @@ def stencil_band(n: int, back: int, centre: int, fwd: int, cff, cfb, cbb) -> np.
     return ab
 
 
-class AtomisticModel:
+class Subproblem:
+    """n values at the lattice positions nodes; free_slice selects the unknowns
+    (the rest are pinned to zero) and test_idx the equations, the gradient
+    components that must vanish.  gradient, hessian and third_contraction
+    take full-length vectors; the last two return stencil_band storage."""
+
+    def embed(self, u_free) -> np.ndarray:
+        """The full-length vector with these unknowns and zeros where pinned."""
+        u = np.zeros(self.n)
+        u[self.free_slice] = u_free
+        return u
+
+
+class AtomisticModel(Subproblem):
     """Site-energy sum over the atomistic region with external force work.
 
     Site energies are summed over the interior sites (one interaction range
@@ -155,8 +169,9 @@ class AtomisticModel:
 
     def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
         self.dec = dec
-        self.sites = dec.atomistic_sites
-        self.n = len(self.sites)
+        self.nodes = dec.atomistic_sites
+        self.n = len(self.nodes)
+        self.free_slice = slice(0, self.n)
         m = INTERACTION_RANGE
         # index ranges within the site array
         self.energy_idx = np.arange(m, self.n - m)            # interior sites
@@ -182,10 +197,6 @@ class AtomisticModel:
         g[self.test_idx] -= self.force_test
         return g
 
-    def equilibrium_residual(self, u) -> np.ndarray:
-        """Gradient components in the equilibrium-site directions."""
-        return self.gradient(u)[self.test_idx]
-
     def hessian(self, u) -> np.ndarray:
         """Energy Hessian as the stencil_band storage of an (n, n) matrix."""
         cff, cfb, cbb = site_hessian_arrays(*self._differences(u))
@@ -201,37 +212,28 @@ class AtomisticModel:
         return stencil_band(self.n, *self._stencil, cff, cfb, cbb)
 
 
-class ContinuumSide:
+class ContinuumSide(Subproblem):
     """One continuum interval: P1 Cauchy-Born energy and exact force work.
 
-    Nodes ascend, as in the GradedMesh they come from; outer_first says
-    whether the pinned outer Dirichlet node is nodes[0] (negative side) or
-    nodes[-1] (positive side).  All energy routines take the full nodal
-    vector including the pinned entry.
+    Nodes ascend, as in the GradedMesh they come from.  The outer node, the
+    one farther from the core, is pinned to zero by the Dirichlet condition;
+    the equations are those of the nodes strictly between the two ends, since
+    the inner boundary node is a coupling control.
     """
 
-    def __init__(self, nodes: np.ndarray, outer_first: bool):
+    def __init__(self, nodes: np.ndarray):
         self.nodes = np.asarray(nodes, dtype=int)
-        self.outer_first = outer_first
         self.x = self.nodes.astype(float)
         self.h = np.diff(self.x)
         self.n = len(self.nodes)
+        self.free_slice = (slice(1, None) if abs(self.nodes[0]) > abs(self.nodes[-1])
+                           else slice(0, -1))
+        self.test_idx = np.arange(1, self.n - 1)
         # element e is a stencil without a backward neighbour: its only
         # difference is u[e + 1] - u[e]
         self._stencil = (0, 0, 1)
         self._zero = np.zeros(self.n - 1)
         self.load = np.zeros(self.n)
-
-    # free nodes exclude the outer Dirichlet node; the equilibrium equations
-    # (nodes 1 .. n-2) also exclude the inner boundary node, a coupling control
-    @property
-    def free_slice(self) -> slice:
-        return slice(1, None) if self.outer_first else slice(0, -1)
-
-    def embed(self, u_free) -> np.ndarray:
-        u = np.zeros(self.n)
-        u[self.free_slice] = u_free
-        return u
 
     def _add_load(self, sums, first: int, f) -> None:
         """Add the load of the unit intervals [m, m + 1], m = first, first + 1, ...
@@ -318,8 +320,8 @@ class ContinuumModel:
                 and np.array_equal(-minus_nodes[::-1][: len(expected)], expected)):
             raise UsageError("mesh is not fully refined on the overlap region")
         self.dec = dec
-        self.minus = ContinuumSide(minus_nodes, outer_first=True)
-        self.plus = ContinuumSide(plus_nodes, outer_first=False)
+        self.minus = ContinuumSide(minus_nodes)
+        self.plus = ContinuumSide(plus_nodes)
         if force is not None:
             self._build_loads(force)
 

@@ -215,7 +215,7 @@ def test_gradient_adjoint_blocks_are_raw_residuals(small_problem):
     layout = small_problem.layout
     np.testing.assert_array_equal(
         g[layout["lam_a"]],
-        small_problem.atomistic.equilibrium_residual(state.u_a))
+        small_problem.atomistic.gradient(state.u_a)[small_problem.atomistic.test_idx])
     # each side's equations sit at its nodes between the two boundary nodes
     minus, plus = small_problem.continuum.minus, small_problem.continuum.plus
     np.testing.assert_array_equal(g[layout["lam_c_minus"]],
@@ -227,18 +227,39 @@ def test_gradient_adjoint_blocks_are_raw_residuals(small_problem):
     assert g[layout["eta"]][0] == c_plus and g[layout["eta"]][1] == c_minus
 
 
+def full_fields(problem, state):
+    """Both sides' full nodal vectors and the three adjoints as full-length
+    fields, zero off their equations."""
+    atomistic, minus, plus = problem.atomistic, problem.continuum.minus, problem.continuum.plus
+    lam_a, lam_m, lam_p = np.zeros(atomistic.n), np.zeros(minus.n), np.zeros(plus.n)
+    lam_a[atomistic.test_idx] = state.lam_a
+    lam_m[1:-1] = state.lam_c_minus
+    lam_p[1:-1] = state.lam_c_plus
+    return minus.embed(state.u_c_minus), plus.embed(state.u_c_plus), (lam_a, lam_m, lam_p)
+
+
+def overlap_ranges(problem):
+    """(u_a indices, side indices) of the minus, then the plus overlap, and
+    the trapezoid weights on them: the sites of dec.overlap_intervals."""
+    dec, minus = problem.dec, problem.continuum.minus
+    w = dec.overlap_width
+    trapz = np.ones(w + 1)
+    trapz[[0, -1]] = 0.5
+    return (((np.arange(w + 1), np.arange(minus.n - 1 - w, minus.n)),
+             (np.arange(dec.r_core + dec.r_a, 2 * dec.r_a + 1), np.arange(w + 1))), trapz)
+
+
 def dense_gradient(problem, state):
     """lagrangian_gradient with J by np.add.at and each Hessian as a fresh dense array."""
-    full_m, full_p = problem._full_sides(state)
-    lam_a, lam_m, lam_p = problem._adjoint_fields(state)
+    full_m, full_p, (lam_a, lam_m, lam_p) = full_fields(problem, state)
+    (ov_minus, ov_plus), trapz = overlap_ranges(problem)
     atomistic, minus, plus = problem.atomistic, problem.continuum.minus, problem.continuum.plus
     na = atomistic.n
     coef = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])[:, :, None]
     j_aa = np.zeros((na, na))
     j_ac = [np.zeros((na, minus.n)), np.zeros((na, plus.n))]
     j_cc = [np.zeros((minus.n, minus.n)), np.zeros((plus.n, plus.n))]
-    for side, (ov_a, ov_c) in enumerate(((problem.ov_minus_a, problem.ov_minus_c),
-                                         (problem.ov_plus_a, problem.ov_plus_c))):
+    for side, (ov_a, ov_c) in enumerate((ov_minus, ov_plus)):
         a = np.array((ov_a[:-1], ov_a[1:]))
         c = np.array((ov_c[:-1], ov_c[1:]))
         np.add.at(j_aa, (a[:, None], a[None]), coef[:2, :2])
@@ -251,15 +272,37 @@ def dense_gradient(problem, state):
     g_p = (j_ac[1].T @ state.u_a + j_cc[1] @ full_p
            + band_csr(plus.hessian(full_p)).toarray() @ lam_p)
     eta_p, eta_m = state.eta
-    g_a[problem.ov_plus_a] += problem.trapz * eta_p
-    g_a[problem.ov_minus_a] += problem.trapz * eta_m
-    g_m[problem.ov_minus_c] -= problem.trapz * eta_m
-    g_p[problem.ov_plus_c] -= problem.trapz * eta_p
+    g_a[ov_plus[0]] += trapz * eta_p
+    g_a[ov_minus[0]] += trapz * eta_m
+    g_m[ov_minus[1]] -= trapz * eta_m
+    g_p[ov_plus[1]] -= trapz * eta_p
     return np.concatenate((
         g_a, g_m[minus.free_slice], g_p[plus.free_slice],
-        atomistic.equilibrium_residual(state.u_a),
+        atomistic.gradient(state.u_a)[atomistic.test_idx],
         minus.gradient(full_m)[1:-1], plus.gradient(full_p)[1:-1],
         problem.mean_zero_constraints(state.u_a, state.u_c_minus, state.u_c_plus)))
+
+
+def test_overlap_records_are_the_decomposition_overlaps(problem_10):
+    problem, dec, cont = problem_10, problem_10.dec, problem_10.continuum
+    state = random_state(problem, np.random.default_rng(33))
+    full = {cont.minus: cont.minus.embed(state.u_c_minus),
+            cont.plus: cont.plus.embed(state.u_c_plus)}
+    _, trapz = overlap_ranges(problem)
+    expect = {}
+    assert len(problem.overlaps) == 2
+    for rec in problem.overlaps:
+        side = problem.models[rec.side]
+        lo, hi = dec.overlap_intervals[side is cont.plus]
+        sites = np.arange(lo, hi + 1)
+        assert len(rec.a) == len(rec.c) == dec.overlap_width + 1
+        np.testing.assert_array_equal(dec.atomistic_sites[rec.a], sites)
+        np.testing.assert_array_equal(side.nodes[rec.c], sites)
+        expect[side] = np.dot(trapz, state.u_a[sites + dec.r_a]
+                              - full[side][np.searchsorted(side.nodes, sites)])
+    # eta's rows: the plus side's first
+    assert problem.mean_zero_constraints(state.u_a, state.u_c_minus, state.u_c_plus) == (
+        expect[cont.plus], expect[cont.minus])
 
 
 @pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
@@ -322,8 +365,8 @@ def test_hessian_is_canonical_csc_without_stored_zeros(problem_10):
 
 def block_assembled_kkt(problem, state):
     """The KKT matrix as sp.bmat of CSR blocks of the model bands, J and C."""
-    full_m, full_p = problem._full_sides(state)
-    lam_a, lam_m, lam_p = problem._adjoint_fields(state)
+    full_m, full_p, (lam_a, lam_m, lam_p) = full_fields(problem, state)
+    (ov_minus, ov_plus), _ = overlap_ranges(problem)
     atomistic, minus, plus = problem.atomistic, problem.continuum.minus, problem.continuum.plus
     fs_m, fs_p = minus.free_slice, plus.free_slice
     # J from the outer products of each overlap element's mismatch
@@ -331,8 +374,7 @@ def block_assembled_kkt(problem, state):
     layout, w = problem.layout, problem.dec.overlap_width
     coef = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])[:, :, None]
     rows, cols, vals = [], [], []
-    for ov_a, ov_c, name, side in ((problem.ov_minus_a, problem.ov_minus_c, "u_c_minus", minus),
-                                   (problem.ov_plus_a, problem.ov_plus_c, "u_c_plus", plus)):
+    for (ov_a, ov_c), name, side in ((ov_minus, "u_c_minus", minus), (ov_plus, "u_c_plus", plus)):
         c = ov_c + layout[name].start - side.free_slice.start
         q = np.array((ov_a[:-1], ov_a[1:], c[:-1], c[1:]))
         rows.append(np.repeat(q, 4, axis=0))

@@ -146,9 +146,9 @@ def test_decomposition_invariants():
     # energies are summed on the interior sites, equations imposed on the
     # twice-interior ones, which reach past the core region
     model = AtomisticModel(dec)
-    np.testing.assert_array_equal(model.sites[model.energy_idx], np.arange(-18, 19))
-    np.testing.assert_array_equal(model.sites[model.test_idx], np.arange(-16, 17))
-    assert dec.r_core <= model.sites[model.test_idx].max()
+    np.testing.assert_array_equal(model.nodes[model.energy_idx], np.arange(-18, 19))
+    np.testing.assert_array_equal(model.nodes[model.test_idx], np.arange(-16, 17))
+    assert dec.r_core <= model.nodes[model.test_idx].max()
 
 
 def test_decomposition_validation():
