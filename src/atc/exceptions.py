@@ -18,7 +18,7 @@ class IllPosedParametersError(UsageError):
 
 
 class KktSolverError(AtcError):
-    """The saddle-point linear solve failed or did not meet its residual bound."""
+    """A Newton step's linear solve failed or did not meet its residual bound."""
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)

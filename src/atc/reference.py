@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from .coupling import DEFAULT_TOLERANCE, damped_newton
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
-from .exceptions import UsageError
+from .exceptions import KktSolverError, UsageError
 from .models import (exact_solution, exact_solution_derivative, force_values,
                      stencil_band, stencil_gradient)
 from .potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
@@ -78,7 +77,10 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
         cff, cfb, cbb = site_hessian_arrays(*differences(u))
         ab = stencil_band(n + 2 * pad, *stencil, cff, cfb, cbb)
         # the padded block; LAPACK never reads the corners this leaves behind
-        return solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), ab[:, pad:-pad], -g)
+        try:
+            return solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), ab[:, pad:-pad], -g)
+        except np.linalg.LinAlgError as err:
+            raise KktSolverError(f"banded factorization failed: {err}") from err
 
     u, diag = damped_newton(np.zeros(n), residual_vec, banded_step, DEFAULT_TOLERANCE)
     return ReferenceSolution(sites, u, diag.residuals[-1], diag.iterations)
@@ -114,8 +116,12 @@ def truncation_tail_sq(gamma: float, r_c: int) -> float:
 
     Sums squared first differences exactly over a window beyond r_c, then
     closes with the integral of the squared continuous derivative (the
-    differences of a smooth algebraically-decaying field).
+    differences of a smooth algebraically-decaying field).  scipy.integrate
+    is imported here, on the first call, so that importing atc does not load
+    it (about 20 MB of resident memory that no solve uses).
     """
+    from scipy.integrate import quad
+
     def partial(first: int) -> float:
         window = min(4_000_000, max(1_000_000, 2 * r_c))
         head = 0.0

@@ -37,6 +37,14 @@ RECORDED_COLD_SOLVES = {
     (3.0, 320): (2.0328478272469813e-11, 5),
 }
 
+# (gamma, r_core) -> (stored entries of K, nonzeros of SuperLU's L + U) at
+# most, over the Newton steps of a cold solve; measured at commit 897affb
+# (the fill is the same on OpenBLAS's SkylakeX and Haswell kernels)
+KKT_COST_BOUNDS = {
+    (3.0, 320): (39_715, 332_199),
+    (1.5, 80): (12_847, 40_581),
+}
+
 # stored entries of problem_10's KKT matrix, recorded from the dense assembly
 KKT_NNZ_10 = {"zero": 1214, "random": 1559}
 
@@ -497,6 +505,26 @@ def test_solve_kkt_factorizes_the_equilibrated_matrix_bit_for_bit(monkeypatch, p
     (scaled,) = factored
     assert scaled.format == "csc"
     assert_same_bits(scaled, (sp.diags(d) @ K @ sp.diags(d)).tocsc())
+
+
+@pytest.mark.parametrize("gamma,r_core", sorted(KKT_COST_BOUNDS))
+def test_kkt_factorizations_stay_within_recorded_cost(monkeypatch, gamma, r_core):
+    # a larger KKT pattern or more LU fill costs time before it moves a bit
+    counts = []
+    splu = atc.coupling.spla.splu
+
+    def count(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        counts.append((matrix.nnz, lu.nnz))
+        return lu
+
+    monkeypatch.setattr(atc.coupling.spla, "splu", count)
+    dec = make_decomposition(r_core, gamma)
+    _, diag = CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma).newton_solve()
+    assert len(counts) == diag.iterations
+    nnz, fill = KKT_COST_BOUNDS[gamma, r_core]
+    assert max(k for k, _ in counts) <= nnz
+    assert max(f for _, f in counts) <= fill
 
 
 def test_solve_kkt_names_a_non_finite_matrix_entry(monkeypatch, small_problem):

@@ -1,13 +1,20 @@
 """Reference solve and error functional tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
+import atc.reference
 from atc import (
     DomainDecomposition,
     GradedMesh,
+    KktSolverError,
     UsageError,
     build_graded_mesh,
     conjectured_bound,
@@ -22,6 +29,7 @@ from atc.potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian
 from atc.reference import coarsening_term_sq, truncation_tail_sq
 from conftest import GAMMA, band_csr
 
+ROOT = Path(__file__).resolve().parents[1]
 
 # r_core -> (iterations, energy_seminorm_error of the values against the
 # exact field) of the oracle at gamma 1.5, recorded at commit 79221da
@@ -54,6 +62,15 @@ def test_oracle_reproduces_recorded_numerics(r_core):
     assert ref.iterations == iters
     assert (energy_seminorm_error(ref.values, exact_solution(ref.sites, GAMMA))
             == pytest.approx(err, rel=1e-12, abs=0.0))
+
+
+def test_singular_oracle_step_is_a_kkt_solver_error(monkeypatch):
+    # a zero Hessian is singular; callers such as perfbench catch AtcError,
+    # which numpy's LinAlgError is not
+    monkeypatch.setattr(atc.reference, "site_hessian_arrays",
+                        lambda forward, backward: (np.zeros(len(forward)),) * 3)
+    with pytest.raises(KktSolverError, match="banded factorization failed: singular matrix"):
+        solve_full_atomistic(make_decomposition(10, GAMMA), GAMMA)
 
 
 def dense_stencil_hessian(n, back, centre, fwd, cff, cfb, cbb):
@@ -207,6 +224,26 @@ def test_conjectured_bound_positive_and_finite():
     mesh = build_graded_mesh(dec, GAMMA)
     b = conjectured_bound(GAMMA, dec, mesh)
     assert np.isfinite(b) and b > 0.0
+
+
+def test_only_the_error_bound_loads_scipy_integrate():
+    # scipy.integrate adds about 20 MB to every process that imports it; a
+    # solve never needs it, and conjectured_bound loads it on its first call
+    code = """
+import sys
+from atc import build_graded_mesh, conjectured_bound, make_decomposition, run_single
+run_single(10, 1.5)
+assert "scipy.integrate" not in sys.modules, "loaded by a solve"
+dec = make_decomposition(10, 1.5)
+print(repr(conjectured_bound(1.5, dec, build_graded_mesh(dec, 1.5))))
+assert "scipy.integrate" in sys.modules, "not loaded by conjectured_bound"
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dec = make_decomposition(10, GAMMA)
+    assert float(proc.stdout) == conjectured_bound(GAMMA, dec, build_graded_mesh(dec, GAMMA))
 
 
 def test_conjectured_bound_mesh_term_decreases_with_refinement():
