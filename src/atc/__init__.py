@@ -59,7 +59,6 @@ from .reference import (
     ReferenceSolution,
     conjectured_bound,
     energy_seminorm_error,
-    max_norm_error,
     solve_full_atomistic,
 )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields
 
@@ -13,6 +14,7 @@ from .domain import (build_graded_mesh, count_dof, lattice_chunks, make_decompos
                      optimal_radii)
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
 from .models import exact_solution
+from .reference import sum_sq_and_max
 
 CSV_HEADER = "r_core,r_a,r_c,dof,err_l2,err_inf,objective,newton_iters,residual,wall_time,converged"
 
@@ -114,18 +116,16 @@ def write_plot_data(records, path):
 def measure_errors(problem: CoupledProblem, state: SystemState) -> tuple[float, float]:
     """Errors of the composite solution against the exact field.
 
-    The energy-seminorm and max-norm errors of reference.py, on the domain
+    The energy seminorm and max norm of the first differences, on the domain
     padded by one site per end, where the composite is zero and the exact
     field is evaluated in closed form, so the boundary-crossing differences
-    measure the real discrepancy.  The first differences are summed in
+    measure the real discrepancy.  reference.sum_sq_and_max sums them over
     chunks of sites that overlap by one, so each difference is taken once.
     """
     r_c = problem.dec.r_c
-    sq, largest = 0.0, 0.0
-    for xs in lattice_chunks(-r_c - 1, r_c + 1, overlap=1):
-        d = np.diff(problem.composite_at(state, xs) - exact_solution(xs, problem.gamma))
-        sq += float(np.dot(d, d))
-        largest = max(largest, float(np.max(np.abs(d))))
+    sq, largest = sum_sq_and_max(
+        np.diff(problem.composite_at(state, xs) - exact_solution(xs, problem.gamma))
+        for xs in lattice_chunks(-r_c - 1, r_c + 1, overlap=1))
     return float(np.sqrt(sq)), largest
 
 
@@ -194,13 +194,17 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
 def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> None:
     """Raise a UsageError for an invalid tolerance or radius, or an output path
     that cannot be opened; optimal_radii is arithmetic, so this solves nothing.
+    A file the probe creates is removed again, so a failed run leaves none.
     """
     check_tolerance(tolerance)
     for r_core in r_cores:
         optimal_radii(r_core, gamma, norm=norm)
     for path in paths:
         if path is not None:
+            existed = os.path.lexists(path)
             _open_output(path, "a").close()
+            if not existed:
+                os.remove(path)
 
 
 def run_sweep(r_cores, gamma: float, norm: str = "energy",

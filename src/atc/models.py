@@ -168,7 +168,6 @@ class AtomisticModel(Subproblem):
     """
 
     def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
-        self.dec = dec
         self.nodes = dec.atomistic_sites
         self.n = len(self.nodes)
         self.free_slice = slice(0, self.n)
@@ -319,7 +318,6 @@ class ContinuumModel:
         if not (np.array_equal(plus_nodes[: len(expected)], expected)
                 and np.array_equal(-minus_nodes[::-1][: len(expected)], expected)):
             raise UsageError("mesh is not fully refined on the overlap region")
-        self.dec = dec
         self.minus = ContinuumSide(minus_nodes)
         self.plus = ContinuumSide(plus_nodes)
         if force is not None:

@@ -12,9 +12,10 @@ cross-check independent.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
-largest difference (max norm).  A computable error bound combining the
-domain truncation tail with the coarse-mesh interpolation term is provided
-as a diagnostic.
+largest difference (max norm), both streamed by sum_sq_and_max, the one
+lattice error sum of the package.  A computable error bound combining the
+domain truncation tail with the coarse-mesh interpolation term, summed the
+same way, is provided as a diagnostic.
 """
 
 from __future__ import annotations
@@ -86,12 +87,16 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
     return ReferenceSolution(sites, u, diag.residuals[-1], diag.iterations)
 
 
-def _difference_field(u, reference):
-    u = np.asarray(u, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if u.shape != reference.shape:
-        raise UsageError(f"index sets differ: {u.shape} vs {reference.shape}")
-    return np.diff(u - reference)
+def sum_sq_and_max(chunks) -> tuple[float, float]:
+    """Sum of squares and largest magnitude of the entries of arrays, in order:
+    each adds its dot product with itself to one running float sum, so a fixed
+    chunk order gives a fixed result.  An empty array adds nothing."""
+    sq, largest = 0.0, 0.0
+    for d in chunks:
+        if d.size:
+            sq += float(np.dot(d, d))
+            largest = max(largest, float(np.max(np.abs(d))))
+    return sq, largest
 
 
 def energy_seminorm_error(u, reference) -> float:
@@ -101,14 +106,10 @@ def energy_seminorm_error(u, reference) -> float:
     their true far-field values before calling if boundary-crossing
     differences should count.
     """
-    d = _difference_field(u, reference)
-    return float(np.sqrt(np.dot(d, d)))
-
-
-def max_norm_error(u, reference) -> float:
-    """Largest first difference of u - reference in absolute value."""
-    d = _difference_field(u, reference)
-    return float(np.max(np.abs(d))) if len(d) else 0.0
+    u, reference = np.asarray(u, dtype=float), np.asarray(reference, dtype=float)
+    if u.shape != reference.shape:
+        raise UsageError(f"index sets differ: {u.shape} vs {reference.shape}")
+    return float(np.sqrt(sum_sq_and_max((np.diff(u - reference),))[0]))
 
 
 def truncation_tail_sq(gamma: float, r_c: int) -> float:
@@ -124,10 +125,8 @@ def truncation_tail_sq(gamma: float, r_c: int) -> float:
 
     def partial(first: int) -> float:
         window = min(4_000_000, max(1_000_000, 2 * r_c))
-        head = 0.0
-        for xs in lattice_chunks(first, first + window, overlap=1):
-            d = np.diff(exact_solution(xs, gamma))
-            head += float(np.dot(d, d))
+        head = sum_sq_and_max(np.diff(exact_solution(xs, gamma))
+                              for xs in lattice_chunks(first, first + window, overlap=1))[0]
         tail, _ = quad(lambda x: exact_solution_derivative(x, gamma) ** 2,
                        first + window + 0.5, np.inf)
         return head + tail
@@ -141,17 +140,15 @@ def coarsening_term_sq(gamma: float, dec: DomainDecomposition, mesh: GradedMesh)
     continuum lattice sites, with second differences of the closed-form field.
     """
     nodes = mesh.nodes.astype(float)
-    total = 0.0
-    for sign in (-1, 1):
-        for t in lattice_chunks(dec.r_core, dec.r_c):
-            xs = sign * t.astype(float)
-            elem = np.clip(np.searchsorted(nodes, xs, side="right") - 1,
-                           0, len(nodes) - 2)
-            h = nodes[elem + 1] - nodes[elem]
-            d2 = (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
-                  + exact_solution(xs - 1, gamma))
-            total += float(np.dot(h * d2, h * d2))
-    return total
+
+    def scaled_second_difference(xs):
+        elem = np.clip(np.searchsorted(nodes, xs, side="right") - 1, 0, len(nodes) - 2)
+        h = nodes[elem + 1] - nodes[elem]
+        return h * (exact_solution(xs + 1, gamma) - 2.0 * exact_solution(xs, gamma)
+                    + exact_solution(xs - 1, gamma))
+
+    return sum_sq_and_max(scaled_second_difference(sign * t.astype(float))
+                          for sign in (-1, 1) for t in lattice_chunks(dec.r_core, dec.r_c))[0]
 
 
 def conjectured_bound(gamma: float, dec: DomainDecomposition, mesh: GradedMesh) -> float:

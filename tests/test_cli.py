@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from atc import harness, read_csv
+from atc import KktSolverError, harness, read_csv
 from atc.cli import main
 
 
@@ -232,6 +232,25 @@ def test_nan_tol_is_checked_before_solving(command, tmp_path, capsys, monkeypatc
     assert code == 2
     assert "tolerance" in err
     assert not out_file.exists()
+
+
+def test_failed_run_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    # the output probe used to create the file, and a run that then failed
+    # left an empty CSV that atc rate rejects; a file that was there before
+    # is left as it was
+    def fail(*args, **kwargs):
+        raise KktSolverError("singular")
+
+    monkeypatch.setattr(harness, "run_single", fail)
+    out_file, kept = tmp_path / "x.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier\n")
+    for path in (out_file, kept):
+        code, _, err = run_cli(["run", "--r-core", "10", "--gamma", "1.5",
+                                "--out", str(path)], capsys)
+        assert code == 4
+        assert "internal error: singular" in err
+    assert not out_file.exists()
+    assert kept.read_text() == "earlier\n"
 
 
 def test_non_convergence_exit_code(capsys):

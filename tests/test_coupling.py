@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import atc.coupling
+import atc.models
 from atc import (
     AtcError,
     ConfigurationError,
@@ -43,6 +44,15 @@ RECORDED_COLD_SOLVES = {
 KKT_COST_BOUNDS = {
     (3.0, 320): (39_715, 332_199),
     (1.5, 80): (12_847, 40_581),
+}
+
+# (gamma, r_core) -> (sites handed to models._half_line_forces, sites that
+# measure_errors hands to composite_at) at most, for a cold solve and its
+# errors; measured at commit 2cedc9e.  The force sites count the overlap
+# r_core .. r_a twice: once in the atomistic window, once in the loads
+SITE_COUNT_BOUNDS = {
+    (3.0, 320): (31_218, 61_796),
+    (1.5, 80): (323_908, 647_678),
 }
 
 # stored entries of problem_10's KKT matrix, recorded from the dense assembly
@@ -525,6 +535,32 @@ def test_kkt_factorizations_stay_within_recorded_cost(monkeypatch, gamma, r_core
     nnz, fill = KKT_COST_BOUNDS[gamma, r_core]
     assert max(k for k, _ in counts) <= nnz
     assert max(f for _, f in counts) <= fill
+
+
+@pytest.mark.parametrize("gamma,r_core", sorted(SITE_COUNT_BOUNDS))
+def test_solve_and_errors_stay_within_recorded_site_counts(monkeypatch, gamma, r_core):
+    # every force and composite site is far-field work; a second pass over
+    # the far field costs time and memory before it moves a bit
+    counts = {"force": 0, "composite": 0}
+    half_line_forces, composite_at = atc.models._half_line_forces, CoupledProblem.composite_at
+
+    def count_forces(first, last, gamma):
+        counts["force"] += max(last - first + 1, 0)
+        return half_line_forces(first, last, gamma)
+
+    def count_composite(self, state, xs):
+        counts["composite"] += len(xs)
+        return composite_at(self, state, xs)
+
+    monkeypatch.setattr(atc.models, "_half_line_forces", count_forces)
+    dec = make_decomposition(r_core, gamma)
+    problem = CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma)
+    state, _ = problem.newton_solve()
+    monkeypatch.setattr(CoupledProblem, "composite_at", count_composite)
+    measure_errors(problem, state)
+    forces, composite = SITE_COUNT_BOUNDS[gamma, r_core]
+    assert 0 < counts["force"] <= forces
+    assert 0 < counts["composite"] <= composite
 
 
 def test_solve_kkt_names_a_non_finite_matrix_entry(monkeypatch, small_problem):

@@ -21,12 +21,11 @@ from atc import (
     energy_seminorm_error,
     exact_solution,
     make_decomposition,
-    max_norm_error,
     solve_full_atomistic,
 )
 from atc.models import force_values, stencil_band, stencil_gradient
 from atc.potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
-from atc.reference import coarsening_term_sq, truncation_tail_sq
+from atc.reference import coarsening_term_sq, sum_sq_and_max, truncation_tail_sq
 from conftest import GAMMA, band_csr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +40,12 @@ RECORDED_ORACLE_SOLVES = {
 
 def small_dec(r_c):
     return DomainDecomposition(10, 20, r_c)
+
+
+def max_norm(u, reference):
+    """Largest first difference of u - reference: the max-norm error, as the
+    largest entry sum_sq_and_max returns."""
+    return sum_sq_and_max((np.diff(u - reference),))[1]
 
 
 def test_full_atomistic_converges_with_small_residual():
@@ -181,7 +186,7 @@ def test_energy_seminorm_reference_cases():
     g, n = 2.0 ** -10, 16
     xs = np.arange(n + 1, dtype=float)
     assert energy_seminorm_error(g * xs, np.zeros(n + 1)) == g * 4.0
-    assert max_norm_error(g * xs, np.zeros(n + 1)) == g
+    assert max_norm(g * xs, np.zeros(n + 1)) == g
 
 
 def test_energy_seminorm_matches_bruteforce_sum():
@@ -193,7 +198,7 @@ def test_energy_seminorm_matches_bruteforce_sum():
         d = (u[i + 1] - v[i + 1]) - (u[i] - v[i])
         total += d * d
     assert abs(energy_seminorm_error(u, v) - np.sqrt(total)) < 1e-14
-    assert max_norm_error(u, v) == max(
+    assert max_norm(u, v) == max(
         abs((u[i + 1] - v[i + 1]) - (u[i] - v[i])) for i in range(39))
 
 
@@ -210,8 +215,29 @@ def test_error_functionals_are_norms_on_difference_fields():
         # triangle inequality
         assert (energy_seminorm_error(a, c)
                 <= energy_seminorm_error(a, b) + energy_seminorm_error(b, c) + 1e-15)
-        assert (max_norm_error(a, c)
-                <= max_norm_error(a, b) + max_norm_error(b, c) + 1e-15)
+        assert max_norm(a, c) <= max_norm(a, b) + max_norm(b, c) + 1e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100_000])
+def test_energy_seminorm_is_the_one_pass_dot_product_bit_for_bit(n):
+    # one field hands sum_sq_and_max one chunk, so the seminorm is the dot
+    # product of the whole difference field with itself, to the last bit
+    rng = np.random.default_rng(n)
+    u, v = rng.uniform(-1, 1, (2, n))
+    d = np.diff(u - v)
+    assert (np.float64(energy_seminorm_error(u, v)).tobytes()
+            == np.float64(float(np.sqrt(np.dot(d, d)))).tobytes())
+
+
+def test_error_sum_adds_chunks_in_order_and_skips_empty_ones():
+    rng = np.random.default_rng(30)
+    a, b = rng.uniform(-1, 1, (2, 1000))
+    b[17] = -3.0
+    sq, largest = sum_sq_and_max(iter([a, np.empty(0), b, np.empty(0)]))
+    assert sq == float(np.dot(a, a)) + float(np.dot(b, b))
+    assert largest == 3.0
+    assert sum_sq_and_max(()) == (0.0, 0.0)
+    assert sum_sq_and_max([np.empty(0)]) == (0.0, 0.0)
 
 
 def test_error_functionals_reject_mismatched_lengths():
