@@ -29,11 +29,11 @@ from .potentials import INTERACTION_RANGE
 LATTICE_CHUNK = 1 << 14
 
 # Peak memory per lattice site of [-r_c, r_c] of the two calls that hold
-# every site.  The full-lattice oracle's banded Newton grew the peak RSS by
-# 282-293 bytes per site at 114,489 sites and by 268-271 at 647,637 (gamma
-# 1.5, one BLAS thread, three fresh processes each); the full composite
-# allocates 24 bytes per site (tracemalloc).
-BYTES_PER_SITE = 300
+# every site.  The full-lattice oracle's banded Newton, on the half-line,
+# grew the peak RSS by 131-133 bytes per site at 114,489 sites and by 119-122
+# at 647,637 (gamma 1.5, one BLAS thread, three fresh processes each); the
+# full composite allocates 24 bytes per site (tracemalloc).
+BYTES_PER_SITE = 140
 COMPOSITE_BYTES_PER_SITE = 24
 
 # Largest site position that float64 holds exactly.

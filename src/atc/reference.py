@@ -1,14 +1,14 @@
 """Brute-force reference solve and error functionals.
 
-The reference problem minimizes the full lattice energy over displacements
-supported on the truncated domain (zero outside), with the manufactured
-forces applied at every site.  Its Hessian couples sites at most two apart,
-so each Newton step is a banded LU solve (five diagonals, partial pivoting)
-in time and memory linear in the number of sites.  The iteration itself is
-coupling.damped_newton, the loop of the coupled solve, and the band is
-assembled by models.stencil_band, as the coupled Hessians are; the unknowns,
-the energy and the LU are the oracle's own, and they are what keeps the
-cross-check independent.
+The reference problem minimizes the full lattice energy over odd
+displacements supported on the truncated domain (zero outside), with the
+manufactured forces applied at every site.  Its Hessian couples sites at most
+two apart, so each Newton step is a banded LU solve (five diagonals, partial
+pivoting) on the half-line, in time and memory linear in the number of sites.
+The iteration itself is coupling.damped_newton, the loop of the coupled
+solve, and the band is assembled by models.stencil_band, as the coupled
+Hessians are; the unknowns, the energy and the LU are the oracle's own, and
+they are what keeps the cross-check independent.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
@@ -46,56 +46,52 @@ class ReferenceSolution:
 def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSolution:
     """Newton minimization of the truncated full-lattice problem.
 
-    All sites of the domain are unknowns; the displacement is zero outside,
-    so site energies whose stencils cross the boundary see the zero
-    extension.  The manufactured forces of gamma are applied.  Newton runs
-    from zero with coupling.damped_newton at coupling.DEFAULT_TOLERANCE, so
-    it stops and gives up where the coupled solve does.  Every site is held,
-    so a domain that would not fit in physical memory is rejected first.
+    The manufactured forces of gamma are odd, so Newton from zero stays odd:
+    the unknowns are u(1) .. u(r_c), with u(0) = 0, u(-s) = -u(s) and zero
+    outside the domain, and the odd field is returned on every site.  Newton
+    runs with coupling.damped_newton at coupling.DEFAULT_TOLERANCE, so it
+    stops and gives up where the coupled solve does.  A domain that would not
+    fit in physical memory is rejected first.
     """
     require_memory("the full-lattice solve", 2 * dec.r_c + 1)
-    sites = dec.sites
-    n = len(sites)
-    forces = force_values(sites, gamma)
-    # site-energy sum runs over every site whose stencil touches the domain
-    pad = 2
+    n, k = dec.r_c, INTERACTION_RANGE
+    forces = force_values(np.arange(1, n + 1), gamma)
 
-    def padded(u):
-        return np.concatenate((np.zeros(pad), u, np.zeros(pad)))
-
-    # the energy sites are 1 .. n + 2 pad - 2 of the padded array
-    stencil = (0, 1, 2)
-
+    # the window holds sites -1 .. n + 2; its site energies, on the stencils
+    # (0, 1, 2), are those of sites 0 .. n + 1, every one that reads an unknown
     def differences(u):
-        ue = padded(u)
+        ue = np.concatenate(((-u[0], 0.0), u, (0.0, 0.0)))
         return ue[2:] - ue[1:-1], ue[:-2] - ue[1:-1]
 
     def residual_vec(u):
         vf, vb = site_gradient_arrays(*differences(u))
-        return stencil_gradient(n + 2 * pad, *stencil, vf, vb)[pad:-pad] - forces
+        return stencil_gradient(n + 4, 0, 1, 2, vf, vb)[2:-2] - forces
 
     def banded_step(u, g):
-        cff, cfb, cbb = site_hessian_arrays(*differences(u))
-        ab = stencil_band(n + 2 * pad, *stencil, cff, cfb, cbb)
-        # the padded block; LAPACK never reads the corners this leaves behind
+        ab = stencil_band(n + 4, 0, 1, 2, *site_hessian_arrays(*differences(u)))
+        # u(-1) = -u(1): site 1's coupling to site -1 folds into its diagonal
+        ab[k, 2] -= ab[k + 2, 0]
+        # the unknowns' block; LAPACK never reads the corners it leaves behind
         try:
-            return solve_banded((INTERACTION_RANGE, INTERACTION_RANGE), ab[:, pad:-pad], -g)
+            return solve_banded((k, k), ab[:, 2:-2], -g)
         except np.linalg.LinAlgError as err:
             raise KktSolverError(f"banded factorization failed: {err}") from err
 
     u, diag = damped_newton(np.zeros(n), residual_vec, banded_step, DEFAULT_TOLERANCE)
-    return ReferenceSolution(sites, u, diag.residuals[-1], diag.iterations)
+    return ReferenceSolution(dec.sites, np.concatenate((-u[::-1], (0.0,), u)),
+                             diag.residuals[-1], diag.iterations)
 
 
 def sum_sq_and_max(chunks) -> tuple[float, float]:
     """Sum of squares and largest magnitude of the entries of arrays, in order:
     each adds its dot product with itself to one running float sum, so a fixed
-    chunk order gives a fixed result.  An empty array adds nothing."""
+    chunk order gives a fixed result.  An empty array adds nothing, and a NaN
+    entry makes both results NaN."""
     sq, largest = 0.0, 0.0
     for d in chunks:
         if d.size:
             sq += float(np.dot(d, d))
-            largest = max(largest, float(np.max(np.abs(d))))
+            largest = float(np.maximum(largest, np.max(np.abs(d))))
     return sq, largest
 
 

@@ -172,6 +172,18 @@ def test_nan_difference_is_configuration_error(problem_10):
         problem_10.newton_solve(state)
 
 
+def test_inf_difference_is_configuration_error():
+    # an infinite bond, as a Newton trial that overflows makes, fails the
+    # bond test as an AtcError, which the line search counts as a rejected
+    # trial, not as phi's ValueError
+    with pytest.raises(ConfigurationError):
+        site_gradient_arrays([np.inf], [0.0])
+    with pytest.raises(ConfigurationError):
+        site_hessian_arrays([0.0], [-np.inf])  # the second bond alone
+    with pytest.raises(ConfigurationError):
+        cauchy_born_d1(np.inf)
+
+
 def test_frozen_constants_against_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
@@ -21,8 +22,11 @@ from atc import (
     energy_seminorm_error,
     exact_solution,
     make_decomposition,
+    phi_d1,
+    phi_d2,
     solve_full_atomistic,
 )
+from atc.coupling import damped_newton
 from atc.models import force_values, stencil_band, stencil_gradient
 from atc.potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
 from atc.reference import coarsening_term_sq, sum_sq_and_max, truncation_tail_sq
@@ -56,6 +60,59 @@ def test_full_atomistic_converges_with_small_residual():
     assert len(ref.values) == len(dec.sites)
     # antisymmetric problem, antisymmetric solution
     np.testing.assert_allclose(ref.values, -ref.values[::-1], rtol=0, atol=1e-12)
+
+
+def odd_on_the_full_line(half):
+    """The odd field with values half on sites 1 .. r_c, padded by zeros to
+    -r_c - INTERACTION_RANGE .. r_c + INTERACTION_RANGE."""
+    return np.pad(np.concatenate((-half[::-1], [0.0], half)), INTERACTION_RANGE)
+
+
+def full_line_bonds(u):
+    """(i, j, stretch) of every first and second neighbour bond of u."""
+    for length in (1, 2):
+        i = np.arange(len(u) - length)
+        yield i, i + length, length + u[i + length] - u[i]
+
+
+def test_oracle_values_are_odd_and_stationary_on_the_full_line(monkeypatch):
+    # the oracle solves on the half-line; checked here on every site of the
+    # full line, with the gradient and Hessian summed bond by bond from
+    # phi_d1 and phi_d2 (zero beyond the domain), independently of the
+    # site-energy stencils and of the fold of sites 1 and -1
+    steps = []
+
+    def recording_newton(x0, gradient, step, tolerance):
+        def recorded(u, g):
+            steps.append((u, g, step(u, g)))
+            return steps[-1][2]
+        return damped_newton(x0, gradient, recorded, tolerance)
+
+    monkeypatch.setattr(atc.reference, "damped_newton", recording_newton)
+    dec = make_decomposition(10, GAMMA)
+    ref = solve_full_atomistic(dec, GAMMA)
+    assert np.array_equal(ref.values, -ref.values[::-1])
+    k = INTERACTION_RANGE
+    u = np.pad(ref.values, k)
+    grad = np.zeros(len(u))
+    for i, j, stretch in full_line_bonds(u):
+        np.add.at(grad, j, phi_d1(stretch))
+        np.add.at(grad, i, -phi_d1(stretch))
+    assert np.max(np.abs(grad[k:-k] - force_values(dec.sites, GAMMA))) < 1e-10
+    # each Newton step solves the full line's Newton system at its iterate
+    assert len(steps) == ref.iterations
+    for half, g, d in steps:
+        u = odd_on_the_full_line(half)
+        rows, cols, vals = [], [], []
+        for i, j, stretch in full_line_bonds(u):
+            c = phi_d2(stretch)
+            rows += [i, j, i, j]
+            cols += [i, j, j, i]
+            vals += [c, c, -c, -c]
+        hessian = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                        np.concatenate(cols))))
+        mismatch = hessian @ odd_on_the_full_line(d) + odd_on_the_full_line(g)
+        assert np.max(np.abs(mismatch[k:-k])) <= 1e-11 * np.max(np.abs(g))
 
 
 @pytest.mark.parametrize("r_core", sorted(RECORDED_ORACLE_SOLVES))
@@ -126,7 +183,7 @@ def test_band_holds_the_stencil_hessian_bit_for_bit():
     assert_band_is(stencil_band(n, 0, 0, 1, coef, zero, zero),
                    dense_stencil_hessian(n, e, e, e + 1, coef, zero, zero))
 
-    # the oracle's padded problem at a random state: sites -r_c - 2 .. r_c + 2,
+    # the full line padded by zeros, at a random state: sites -r_c - 2 .. r_c + 2,
     # every site with a neighbour on each side carries a site energy
     dec = small_dec(400)
     k = INTERACTION_RANGE
@@ -238,6 +295,15 @@ def test_error_sum_adds_chunks_in_order_and_skips_empty_ones():
     assert largest == 3.0
     assert sum_sq_and_max(()) == (0.0, 0.0)
     assert sum_sq_and_max([np.empty(0)]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["nan-last", "nan-first"])
+def test_error_sum_keeps_a_nan_chunk_in_both_results(order):
+    # a NaN chunk makes the largest magnitude NaN as well as the sum, so
+    # err_inf and err_l2 agree that the composite is broken
+    chunks = [np.array([1.0, -2.0]), np.array([0.5, np.nan])][::order]
+    sq, largest = sum_sq_and_max(chunks)
+    assert np.isnan(sq) and np.isnan(largest)
 
 
 def test_error_functionals_reject_mismatched_lengths():
