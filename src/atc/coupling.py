@@ -558,18 +558,23 @@ class CoupledProblem:
         """Composite displacement at ascending integer sites.
 
         Atomistic values on |site| <= r_a, the continuum interpolant of each
-        side outside it, zero on and beyond the outer boundary.
+        side outside it, zero on and beyond the outer boundary.  Sites that
+        all lie strictly inside one element beyond r_a take np.interp's own
+        formula on that element, the same bits without its search.
         """
         sites = np.asarray(sites)
         sides = self.models[1:]
+        x = np.concatenate([m.x for m in sides])
+        y = np.concatenate([m.embed(u) for m, u in zip(sides, self._unknowns(state)[1:])])
+        r_a = self.dec.r_a
+        e = int(np.searchsorted(x, sites[0])) - 1 if len(sites) else -1
+        if 0 <= e < len(x) - 1 and sites[-1] < x[e + 1] and abs(sites[0]) > r_a:
+            slope = (y[e + 1] - y[e]) / (x[e + 1] - x[e])
+            return slope * (sites - x[e]) + y[e]
         # np.interp reads only the two knots that bracket a site, so a site
         # beyond r_a sees its own side's element; the sites between the two
         # sides lie in [-r_a, r_a] and take the atomistic values below
-        vals = np.interp(sites, np.concatenate([m.x for m in sides]),
-                         np.concatenate([m.embed(u) for m, u
-                                         in zip(sides, self._unknowns(state)[1:])]),
-                         left=0.0, right=0.0)
-        r_a = self.dec.r_a
+        vals = np.interp(sites, x, y, left=0.0, right=0.0)
         lo, hi = np.searchsorted(sites, -r_a), np.searchsorted(sites, r_a, side="right")
         vals[lo:hi] = state.u_a[sites[lo:hi] + r_a]
         return vals

@@ -59,9 +59,12 @@ def _half_line_forces(first: int, last: int, gamma: float) -> np.ndarray:
     """
     half = np.empty(max(last - first + 1, 0))
     for t in lattice_chunks(first, last):
-        u = exact_solution(np.arange(t[0] - 2, t[-1] + 3), gamma)
+        u = exact_solution(np.arange(t[0] - 2, t[-1] + 3, dtype=float), gamma)
         vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
-        half[t - first] = vf[:-2] - vf[1:-1] + vb[2:] - vb[1:-1]
+        out = half[t[0] - first:t[-1] - first + 1]
+        np.subtract(vf[:-2], vf[1:-1], out=out)
+        out += vb[2:]
+        out -= vb[1:-1]
     return half
 
 
@@ -93,6 +96,13 @@ class ExternalForce:
     def __init__(self, dec: DomainDecomposition, gamma: float):
         self.gamma = gamma
         self.values = force_values(dec.atomistic_sites, gamma)
+
+    def half_line(self, first: int, last: int) -> np.ndarray:
+        """Force at t = first .. last (first >= 1), _half_line_forces' bits:
+        the held values up to r_a, evaluated beyond it."""
+        r_a = len(self.values) // 2
+        held = self.values[r_a + first:r_a + min(last, r_a) + 1]
+        return np.concatenate((held, _half_line_forces(max(first, r_a + 1), last, self.gamma)))
 
 
 def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
@@ -245,38 +255,55 @@ class ContinuumSide(Subproblem):
         element of length h, the hats are (h - j) / h and j / h at its left
         end, and their values at its right end are the next interval's, so
         only the last interval of a run divides again.  Every numerator is
-        an exact integer.  sums = (left, right) hold per node the running
-        totals over the element to its right and to its left; each enters
-        np.bincount ahead of the new terms, and np.bincount adds in input
-        order from 0.0, so a node's total continues exactly.
+        an exact integer.  A range inside one element divides by its one h;
+        the hats are the same bits.  sums = (left, right) hold per node the
+        running totals over the element to its right and to its left.  One
+        np.bincount continues both: the held totals enter ahead of the new
+        terms, and np.bincount adds in input order from 0.0, so each node's
+        total continues exactly.  The two totals' terms are interleaved, so
+        their two sequential sums overlap.
         """
+        left, right = sums
         last = first + len(f) - 1
         # elements e0 .. e1 - 1 hold the intervals first .. last - 1
         e0 = int(np.searchsorted(self.nodes, first, side="right")) - 1
         e1 = int(np.searchsorted(self.nodes, last - 1, side="right"))
-        counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
-        j = np.arange(first, last) - np.repeat(self.nodes[e0:e1], counts)
-        h = np.repeat(self.h[e0:e1], counts)
+        m = e1 - e0
         # the hats of the element's left node (pl) and right node (pr) at the
-        # interval's two ends
-        pr0, pl0 = j / h, (h - j) / h
-        pr1, pl1 = np.empty_like(pr0), np.empty_like(pl0)
-        pr1[:-1], pl1[:-1] = pr0[1:], pl0[1:]
-        end = np.cumsum(counts) - 1
-        pr1[end], pl1[end] = (j[end] + 1) / h[end], (h[end] - j[end] - 1) / h[end]
+        # interval's two ends, and each interval's element from e0 (elem)
+        if m == 1:
+            h = self.h[e0]
+            j = np.arange(first - self.nodes[e0], last - self.nodes[e0] + 1, dtype=float)
+            pr, pl = j / h, (h - j) / h
+            pr0, pr1, pl0, pl1 = pr[:-1], pr[1:], pl[:-1], pl[1:]
+            elem = 0
+        else:
+            counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
+            elem = np.repeat(np.arange(m), counts)
+            j = np.arange(first, last) - self.nodes[e0:e1][elem]
+            h = self.h[e0:e1][elem]
+            pr0, pl0 = j / h, (h - j) / h
+            pr1, pl1 = np.empty_like(pr0), np.empty_like(pl0)
+            pr1[:-1], pl1[:-1] = pr0[1:], pl0[1:]
+            end = np.cumsum(counts) - 1
+            pr1[end], pl1[end] = (j[end] + 1) / h[end], (h[end] - j[end] - 1) / h[end]
         fm, fp = f[:-1], f[1:]
         fm2, fp2 = 2.0 * fm, 2.0 * fp
-        tmp = np.empty(len(j))
-        bins = np.concatenate((np.arange(e1 - e0), np.repeat(np.arange(e1 - e0), counts)))
-        for total, p0, p1, shift in zip(sums, (pl0, pr0), (pl1, pr1), (0, 1)):
+        tmp = np.empty(len(fm))
+        weights = np.empty(2 * (m + len(fm)))
+        weights[:m], weights[m:2 * m] = left[e0:e1], right[e0 + 1:e1 + 1]
+        bins = np.empty(len(weights), dtype=np.intp)
+        bins[:2 * m] = np.arange(2 * m)
+        bins[2 * m::2], bins[2 * m + 1::2] = elem, elem + m
+        for k, (p0, p1) in enumerate(((pl0, pl1), (pr0, pr1))):
             # (2 fm p0 + fm p1 + fp p0 + 2 fp p1) / 6, summed left to right
             terms = fm2 * p0
             terms += np.multiply(fm, p1, out=tmp)
             terms += np.multiply(fp, p0, out=tmp)
             terms += np.multiply(fp2, p1, out=tmp)
-            terms /= 6.0
-            held = total[e0 + shift:e1 + shift]
-            held[:] = np.bincount(bins, weights=np.concatenate((held, terms)))
+            np.divide(terms, 6.0, out=weights[2 * m + k::2])
+        totals = np.bincount(bins, weights=weights)
+        left[e0:e1], right[e0 + 1:e1 + 1] = totals[:m], totals[m:]
 
     def strains(self, u_full) -> np.ndarray:
         return np.diff(u_full) / self.h
@@ -328,9 +355,10 @@ class ContinuumModel:
 
         One sweep over |site| = r_core .. r_c serves both sides: it cuts the
         sites into ranges that end on element boundaries of both sides, each
-        at most LATTICE_CHUNK sites unless one element is longer, and
-        evaluates each range's forces once, used at +t for the plus side and
-        negated for the minus side (the field is odd).  Each element's unit
+        at most LATTICE_CHUNK sites unless one element is longer, and takes
+        each range's forces once (ExternalForce.half_line: held up to r_a,
+        evaluated beyond), used at +t for the plus side and negated for the
+        minus side (the field is odd).  Each element's unit
         intervals are added in ascending site order, as one np.bincount over
         the whole side adds them: ascending |site| on the plus side,
         descending on the minus side, in sub-chunks of at most LATTICE_CHUNK
@@ -344,7 +372,7 @@ class ContinuumModel:
             j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + domain.LATTICE_CHUNK,
                                                side="right")) - 1)
             first, last = int(bounds[i]), int(bounds[j])
-            f = _half_line_forces(first, last, force.gamma)
+            f = force.half_line(first, last)
             for k in lattice_chunks(0, len(f) - 2):
                 sub = slice(k[0], k[-1] + 2)
                 plus._add_load(sums[plus], first + int(k[0]), f[sub])

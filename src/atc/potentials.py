@@ -76,6 +76,14 @@ INTERACTION_RANGE = 2
 ENERGY_SHIFT = phi(1.0) + phi(2.0)
 
 
+def _bonds_hold(r) -> bool:
+    """Whether every length in r is finite and at least MIN_BOND_LENGTH.
+
+    One min and one max: either is NaN when r holds a NaN, which fails both
+    comparisons, and an empty r passes."""
+    return bool(r.min(initial=np.inf) >= MIN_BOND_LENGTH and r.max(initial=-np.inf) < np.inf)
+
+
 def _inverse_bonds(d_fwd, d_bwd):
     """Inverse deformed first and second neighbor bond lengths at each site.
 
@@ -87,8 +95,7 @@ def _inverse_bonds(d_fwd, d_bwd):
     d_bwd = np.asarray(d_bwd, dtype=float)
     r1 = 1.0 + d_fwd
     r2 = 2.0 + d_fwd - d_bwd
-    if not (np.all((r1 >= MIN_BOND_LENGTH) & (r1 < np.inf))
-            and np.all((r2 >= MIN_BOND_LENGTH) & (r2 < np.inf))):  # NaN fails
+    if not (_bonds_hold(r1) and _bonds_hold(r2)):
         raise ConfigurationError("collapsed bond: length below MIN_BOND_LENGTH, inf or NaN")
     return 1.0 / r1, 1.0 / r2
 
@@ -126,7 +133,7 @@ def site_third_arrays(d_fwd, d_bwd):
 
 def _cb_inverse_bonds(strain):
     r1 = 1.0 + np.asarray(strain, dtype=float)
-    if not np.all((r1 >= MIN_BOND_LENGTH) & (r1 < np.inf)):  # NaN fails
+    if not _bonds_hold(r1):
         raise ConfigurationError("collapsed strain: spacing below MIN_BOND_LENGTH, inf or NaN")
     return 1.0 / r1, 1.0 / (2.0 * r1)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .coupling import DEFAULT_TOLERANCE, damped_newton
 from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
@@ -69,13 +69,19 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
 
     def banded_step(u, g):
         ab = stencil_band(n + 4, 0, 1, 2, *site_hessian_arrays(*differences(u)))
+        # the unknowns' block under k rows for the LU's fill, in the column-major
+        # layout gbsv factors in place; LAPACK never reads the corners
+        lu = np.zeros((3 * k + 1, n), order="F")
+        lu[k:] = ab[:, 2:-2]
         # u(-1) = -u(1): site 1's coupling to site -1 folds into its diagonal
-        ab[k, 2] -= ab[k + 2, 0]
-        # the unknowns' block; LAPACK never reads the corners it leaves behind
-        try:
-            return solve_banded((k, k), ab[:, 2:-2], -g)
-        except np.linalg.LinAlgError as err:
-            raise KktSolverError(f"banded factorization failed: {err}") from err
+        lu[2 * k, 0] -= ab[k + 2, 0]
+        rhs = -g
+        if not (np.isfinite(lu).all() and np.isfinite(rhs).all()):
+            raise KktSolverError("banded step: non-finite Hessian band or gradient")
+        _, _, step, info = dgbsv(k, k, lu, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise KktSolverError("banded factorization failed: singular matrix")
+        return step
 
     u, diag = damped_newton(np.zeros(n), residual_vec, banded_step, DEFAULT_TOLERANCE)
     return ReferenceSolution(dec.sites, np.concatenate((-u[::-1], (0.0,), u)),

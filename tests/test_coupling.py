@@ -10,6 +10,8 @@ from atc import (
     AtcError,
     ConfigurationError,
     CoupledProblem,
+    DomainDecomposition,
+    GradedMesh,
     KktSolverError,
     NewtonDiagnostics,
     NonConvergenceError,
@@ -48,11 +50,12 @@ KKT_COST_BOUNDS = {
 
 # (gamma, r_core) -> (sites handed to models._half_line_forces, sites that
 # measure_errors hands to composite_at) at most, for a cold solve and its
-# errors; measured at commit 2cedc9e.  The force sites count the overlap
-# r_core .. r_a twice: once in the atomistic window, once in the loads
+# errors.  The force sites are 0 .. r_c once each, plus the first site of
+# every load range after the first (neighbouring ranges share an end site);
+# the loads take the overlap r_core .. r_a from the atomistic window
 SITE_COUNT_BOUNDS = {
-    (3.0, 320): (31_218, 61_796),
-    (1.5, 80): (323_908, 647_678),
+    (3.0, 320): (30_897, 61_796),
+    (1.5, 80): (323_827, 647_678),
 }
 
 # stored entries of problem_10's KKT matrix, recorded from the dense assembly
@@ -768,6 +771,31 @@ def test_composite_at_samples_ascending_sites_and_zero_beyond(problem_10):
     inside = np.abs(sites) <= dec.r_c
     sampled = np.where(inside, expect[np.where(inside, sites + dec.r_c, 0)], 0.0)
     assert np.array_equal(problem_10.composite_at(state, sites), sampled)
+
+
+def test_composite_at_is_np_interp_bit_for_bit_on_random_knots():
+    # runs inside one coarse element skip np.interp for its own formula;
+    # this pins that formula to np.interp's bits, so a numpy that computes
+    # the interpolant differently fails here
+    rng = np.random.default_rng(20)
+    dec = DomainDecomposition(10, 20, 400)
+    coarse = [np.sort(rng.choice(np.arange(dec.r_a + 1, dec.r_c), 25, replace=False))
+              for _ in range(2)]
+    nodes = np.concatenate((-coarse[0][::-1], np.arange(-dec.r_a, dec.r_a + 1), coarse[1]))
+    mesh = GradedMesh(np.concatenate(([-dec.r_c], nodes, [dec.r_c])))
+    problem = CoupledProblem(dec, mesh, GAMMA)
+    state = random_state(problem, rng)
+    expect = np.pad(composite_by_sides(problem, state), 8)
+    runs = [np.arange(-dec.r_c - 8, -dec.r_c + 1), np.arange(dec.r_c, dec.r_c + 9),
+            np.arange(dec.r_c - 1, dec.r_c + 1), np.arange(-dec.r_c - 3, -dec.r_c),
+            np.arange(dec.r_a - 3, dec.r_a + 40), np.arange(-dec.r_a - 30, -dec.r_a + 2)]
+    knots = mesh.nodes
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b - a > 1:
+            runs += [np.arange(a + 1, b), np.arange(a + 1, b + 1), np.arange(a, b),
+                     np.arange(*np.sort(rng.integers(a + 1, b, 2)) + (0, 1))]
+    for sites in runs:
+        assert problem.composite_at(state, sites).tobytes() == expect[sites + dec.r_c + 8].tobytes()
 
 
 def test_state_block_views_alias_vector(small_problem):

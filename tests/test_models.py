@@ -285,12 +285,15 @@ def one_shot_errors(problem, state):
 
 
 # chunks of 2 and 3 sites give one-interval ranges, and ranges that start
-# and end inside an element; gamma 3 has a mesh of other proportions
+# and end inside an element; gamma 3 has a mesh of other proportions.  At
+# r_core 40 an element of 22,543 sites first outgrows the default chunk, so
+# the loads and errors run inside one element at their real size
 CHUNKED_CASES = ([pytest.param(GAMMA, r_core, chunk, id=f"{r_core}-{chunk}")
                   for r_core, chunks in ((10, (2, 3, 5, 64)), (20, (5, 64)))
                   for chunk in chunks]
                  + [pytest.param(3.0, 20, chunk, id=f"gamma3-20-{chunk}")
-                    for chunk in (2, 3, 5, 64)])
+                    for chunk in (2, 3, 5, 64)]
+                 + [pytest.param(GAMMA, 40, domain.LATTICE_CHUNK, id="40-default")])
 
 
 @pytest.mark.parametrize("gamma,r_core,chunk", CHUNKED_CASES)

@@ -184,6 +184,22 @@ def test_inf_difference_is_configuration_error():
         cauchy_born_d1(np.inf)
 
 
+def test_minus_inf_difference_is_configuration_error():
+    # a bond of length -inf is below MIN_BOND_LENGTH
+    with pytest.raises(ConfigurationError):
+        site_gradient_arrays([0.0, -np.inf], [0.0, 0.0])
+    with pytest.raises(ConfigurationError):
+        site_hessian_arrays([0.0], [np.inf])  # the second bond alone
+    with pytest.raises(ConfigurationError):
+        cauchy_born_d1([0.0, -np.inf])
+
+
+def test_empty_differences_have_no_bond_to_reject():
+    for values in (*site_hessian_arrays([], []), *site_gradient_arrays([], []),
+                   cauchy_born_d1([]), cauchy_born_energy_density([])):
+        assert values.shape == (0,)
+
+
 def test_frozen_constants_against_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp

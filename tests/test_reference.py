@@ -135,6 +135,21 @@ def test_singular_oracle_step_is_a_kkt_solver_error(monkeypatch):
         solve_full_atomistic(make_decomposition(10, GAMMA), GAMMA)
 
 
+def test_non_finite_oracle_step_is_a_kkt_solver_error(monkeypatch):
+    # a NaN or inf must not reach LAPACK; callers catch AtcError, which a
+    # plain ValueError from a finite check is not
+    hessian = atc.reference.site_hessian_arrays
+
+    def poisoned(forward, backward):
+        cff, cfb, cbb = hessian(forward, backward)
+        cff[len(cff) // 2] = np.inf
+        return cff, cfb, cbb
+
+    monkeypatch.setattr(atc.reference, "site_hessian_arrays", poisoned)
+    with pytest.raises(KktSolverError, match="non-finite Hessian band or gradient"):
+        solve_full_atomistic(make_decomposition(10, GAMMA), GAMMA)
+
+
 def dense_stencil_hessian(n, back, centre, fwd, cff, cfb, cbb):
     """The stencil Hessian by one np.add.at scatter of the nine blocks in the
     order stencil_band documents; np.add.at adds duplicates in input order."""
