@@ -30,10 +30,10 @@ LATTICE_CHUNK = 1 << 14
 
 # Peak memory per lattice site of [-r_c, r_c] of the two calls that hold
 # every site.  The full-lattice oracle's banded Newton, on the half-line,
-# grew the peak RSS by 131-133 bytes per site at 114,489 sites and by 119-122
-# at 647,637 (gamma 1.5, one BLAS thread, three fresh processes each); the
+# grew the peak RSS by 108-113 bytes per site at 114,489 sites and by 99-100
+# at 647,637 (gamma 1.5, one BLAS thread, six fresh processes each); the
 # full composite allocates 24 bytes per site (tracemalloc).
-BYTES_PER_SITE = 140
+BYTES_PER_SITE = 120
 COMPOSITE_BYTES_PER_SITE = 24
 
 # Largest site position that float64 holds exactly.

@@ -101,8 +101,10 @@ class ExternalForce:
         """Force at t = first .. last (first >= 1), _half_line_forces' bits:
         the held values up to r_a, evaluated beyond it."""
         r_a = len(self.values) // 2
-        held = self.values[r_a + first:r_a + min(last, r_a) + 1]
-        return np.concatenate((held, _half_line_forces(max(first, r_a + 1), last, self.gamma)))
+        if first > r_a:
+            return _half_line_forces(first, last, self.gamma)
+        return np.concatenate((self.values[r_a + first:r_a + min(last, r_a) + 1],
+                               _half_line_forces(r_a + 1, last, self.gamma)))
 
 
 def manufacture_forces(gamma: float, dec: DomainDecomposition) -> ExternalForce:
@@ -280,8 +282,8 @@ class ContinuumSide(Subproblem):
         else:
             counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
             elem = np.repeat(np.arange(m), counts)
-            j = np.arange(first, last) - self.nodes[e0:e1][elem]
-            h = self.h[e0:e1][elem]
+            j = np.arange(first, last) - np.repeat(self.nodes[e0:e1], counts)
+            h = np.repeat(self.h[e0:e1], counts)
             pr0, pl0 = j / h, (h - j) / h
             pr1, pl1 = np.empty_like(pr0), np.empty_like(pl0)
             pr1[:-1], pl1[:-1] = pr0[1:], pl0[1:]
