@@ -785,8 +785,9 @@ def test_composite_at_is_np_interp_bit_for_bit_on_random_knots():
     mesh = GradedMesh(np.concatenate(([-dec.r_c], nodes, [dec.r_c])))
     problem = CoupledProblem(dec, mesh, GAMMA)
     state = random_state(problem, rng)
-    expect = np.pad(composite_by_sides(problem, state), 8)
-    runs = [np.arange(-dec.r_c - 8, -dec.r_c + 1), np.arange(dec.r_c, dec.r_c + 9),
+    pad = 8
+    expect = np.pad(composite_by_sides(problem, state), pad)
+    runs = [np.arange(-dec.r_c - pad, -dec.r_c + 1), np.arange(dec.r_c, dec.r_c + pad + 1),
             np.arange(dec.r_c - 1, dec.r_c + 1), np.arange(-dec.r_c - 3, -dec.r_c),
             np.arange(dec.r_a - 3, dec.r_a + 40), np.arange(-dec.r_a - 30, -dec.r_a + 2)]
     knots = mesh.nodes
@@ -795,7 +796,8 @@ def test_composite_at_is_np_interp_bit_for_bit_on_random_knots():
             runs += [np.arange(a + 1, b), np.arange(a + 1, b + 1), np.arange(a, b),
                      np.arange(*np.sort(rng.integers(a + 1, b, 2)) + (0, 1))]
     for sites in runs:
-        assert problem.composite_at(state, sites).tobytes() == expect[sites + dec.r_c + 8].tobytes()
+        sampled = problem.composite_at(state, sites)
+        assert sampled.tobytes() == expect[sites + dec.r_c + pad].tobytes()
 
 
 def test_state_block_views_alias_vector(small_problem):
