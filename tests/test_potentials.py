@@ -182,9 +182,6 @@ def test_inf_difference_is_configuration_error():
         site_hessian_arrays([0.0], [-np.inf])  # the second bond alone
     with pytest.raises(ConfigurationError):
         cauchy_born_d1(np.inf)
-
-
-def test_minus_inf_difference_is_configuration_error():
     # a bond of length -inf is below MIN_BOND_LENGTH
     with pytest.raises(ConfigurationError):
         site_gradient_arrays([0.0, -np.inf], [0.0, 0.0])
