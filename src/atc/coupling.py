@@ -20,12 +20,12 @@ derivatives of the subproblem energies) and B the constraint linearizations.
 Each step gathers the matrix from the models' Hessian bands into a canonical
 CSC pattern that the first step builds, with the constant objective and
 constraint entries stored in the pattern.  Only the gradient keeps dense
-products, all on one scratch array that the problem keeps zeroed.
+products, built by blocks of rows or columns in one fixed scratch array that
+the problem keeps zeroed.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +55,11 @@ MAX_ITERATIONS = 50
 
 # Every saddle-point solve must meet this relative residual (inf norm).
 KKT_RESIDUAL_BOUND = 1e-10
+
+# Floats of the scratch array that the gradient's dense products are built
+# in (1 MB), unless the largest model's n**2 is smaller; never fewer than
+# seven rows of n, a block of 4 and a tail of 3.
+PRODUCT_SCRATCH = 1 << 17
 
 
 class BlockLayout:
@@ -207,14 +212,15 @@ def _condition_estimate(matrix, lu, scale):
 def _band_slots(n: int):
     """The slots of a stencil_band array of n columns that lie in the matrix.
 
-    Returns (slot, row, col): slot indexes the raveled band, and holds the
-    matrix entry (row, col).
+    Returns (slot, row, col) in row-major order of the matrix: slot indexes
+    the raveled band, and holds the matrix entry (row, col).
     """
     k = INTERACTION_RANGE
-    diag, col = np.divmod(np.arange((2 * k + 1) * n), n)
-    row = col + diag - k
-    slot = np.flatnonzero((row >= 0) & (row < n))
-    return slot, row[slot], col[slot]
+    row, off = np.divmod(np.arange((2 * k + 1) * n), 2 * k + 1)
+    col = row + off - k
+    keep = (col >= 0) & (col < n)
+    row, col = row[keep], col[keep]
+    return (k + row - col) * n + col, row, col
 
 
 def _summed_entries(shape, *triplets):
@@ -342,12 +348,12 @@ class CoupledProblem:
         for m in self.models:
             slot, row, col = _band_slots(m.n)
             self._hessian_slots.append(((m.n, m.n), row * m.n + col, slot))
-        # every dense product of the gradient writes its entries here, and
-        # zeros back after.  An anonymous mapping is zero-filled, and its
-        # pages that are never written stay unallocated: np.zeros would ask
-        # for huge pages, and writes along the band would then fill them all
-        self._scratch = np.frombuffer(mmap.mmap(-1, 8 * max(m.n for m in self.models) ** 2,
-                                                flags=mmap.MAP_PRIVATE))
+        # every dense product of the gradient writes its entries here, block
+        # by block, and zeros back after; _product_plan's blocks are built on
+        # first use, keyed by position array
+        n = max(m.n for m in self.models)
+        self._scratch = np.zeros(min(n * n, max(PRODUCT_SCRATCH, 7 * n)))
+        self._plans = {}
 
     # ---------------- states ----------------
 
@@ -404,21 +410,85 @@ class CoupledProblem:
 
     def _dense_product(self, shape, pos, vals, v, transpose=False) -> np.ndarray:
         """a @ v, or a.T @ v, for the C-ordered array a of this shape whose
-        entries at the flat positions pos are vals and are zero elsewhere.
+        entries at the ascending flat positions pos are vals and are zero
+        elsewhere.
 
         The product is a dense BLAS product on a C-ordered view of the
         scratch, or on that view's transpose; a sparse product, or a
         Fortran-ordered copy, sums the rows in another order, and one ULP in
         the gradient moves the converged err_l2 past 1e-6 relative (gamma 3,
-        r_core 320).  The scratch is zero again on return.
+        r_core 320).  An array larger than the scratch goes by the blocks of
+        _product_plan, each such a product.  With one BLAS thread, OpenBLAS
+        gives a block the whole product's bits when it makes at least 4
+        outputs, starts at a multiple of 4 and ends at one or at the end:
+        - a[r0:r1] @ v is (a @ v)[r0:r1]; rows stay whole, since the kernel
+          sums the columns in pieces of 2,048, and a column window across a
+          piece's end changes the sum;
+        - a[r0:r1, c0:c1].T @ v[r0:r1] is (a.T @ v)[c0:c1] when rows r0 ..
+          r1 - 1 hold every entry of those columns, with r0 a multiple of 4
+          and r1 one or the row count.
+        A block of 1 to 3 outputs can differ in the last bit.  The scratch
+        is zero again on return.
         """
-        flat = self._scratch[:shape[0] * shape[1]]
+        rows, cols = shape
+        if rows * cols > self._scratch.size:
+            key = (id(pos), transpose)
+            if key not in self._plans:
+                # the plan holds pos, so no other array takes its id
+                self._plans[key] = pos, *self._product_plan(shape, pos, transpose)
+            _, local, order, blocks = self._plans[key]
+            if order is not None:
+                vals = vals[order]
+            out = np.zeros(cols if transpose else rows)
+            for o0, o1, v0, v1, i0, i1 in blocks:
+                block = (v1 - v0, o1 - o0) if transpose else (o1 - o0, v1 - v0)
+                out[o0:o1] = self._dense_product(block, local[i0:i1], vals[i0:i1], v[v0:v1],
+                                                 transpose)
+            return out
+        flat = self._scratch[:rows * cols]
         flat[pos] = vals
         try:
             a = flat.reshape(shape)
             return (a.T if transpose else a) @ v
         finally:
             flat[pos] = 0.0
+
+    def _product_plan(self, shape, pos, transpose):
+        """The blocks of _dense_product for an array larger than the scratch.
+
+        Returns (local, order, blocks).  Each block (o0, o1, v0, v1, i0, i1)
+        makes out[o0:o1] from v[v0:v1] and the entries i0 .. i1 - 1 of
+        vals[order] (of vals if order is None), placed at the flat positions
+        local[i0:i1] of the block's array.  Blocks of a @ v are whole rows,
+        blocks of a.T @ v columns over the rows that hold their entries, cut
+        outward to multiples of 4.  Blocks start at multiples of w, the
+        multiple of 4 that leaves room in the scratch for 3 more rows or
+        columns: a tail of fewer than 4 joins the block before it.  A block
+        without entries is not listed, and its outputs are zero.
+        """
+        rows, cols = shape
+        length, across = (cols, rows) if transpose else (rows, cols)
+        w = (self._scratch.size // across - 3) // 4 * 4
+        starts = np.arange(0, length, w)
+        if length - starts[-1] < 4:
+            starts = starts[:-1]
+        row, col = np.divmod(pos, cols)
+        block = np.searchsorted(starts, col if transpose else row, side="right") - 1
+        order = np.argsort(block, kind="stable") if transpose else None
+        if transpose:
+            row, col, block = row[order], col[order], block[order]
+        ids, i0 = np.unique(block, return_index=True)
+        i1 = np.append(i0[1:], len(pos))
+        o0, o1 = starts[ids], np.append(starts[1:], length)[ids]
+        per = np.repeat(np.arange(len(ids)), i1 - i0)
+        if transpose:
+            v0 = np.minimum.reduceat(row, i0) // 4 * 4
+            v1 = np.minimum((np.maximum.reduceat(row, i0) + 4) // 4 * 4, rows)
+            local = (row - v0[per]) * (o1 - o0)[per] + col - o0[per]
+        else:
+            v0, v1 = np.zeros_like(o0), np.full_like(o0, cols)
+            local = pos - o0[per] * cols
+        return local, order, list(zip(*(x.tolist() for x in (o0, o1, v0, v1, i0, i1))))
 
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
         fields, adjoints = self._fields(state)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import domain
-from .domain import DomainDecomposition, GradedMesh, lattice_chunks
+from .domain import DomainDecomposition, GradedMesh, chunk_bounds
 from .exceptions import UsageError
 from .potentials import (
     INTERACTION_RANGE,
@@ -54,14 +54,14 @@ def _half_line_forces(first: int, last: int, gamma: float) -> np.ndarray:
 
     The force at t is vf(t-1) - vf(t) + vb(t+1) - vb(t), from the site-energy
     derivatives of the stencils centred at t-1, t and t+1 on the exact field.
-    The array is filled over lattice_chunks; each chunk evaluates the field on
+    The array is filled over chunk_bounds; each chunk evaluates the field on
     its own sites and two more on each side, so nothing crosses a chunk.
     """
     half = np.empty(max(last - first + 1, 0))
-    for t in lattice_chunks(first, last):
-        u = exact_solution(np.arange(t[0] - 2, t[-1] + 3, dtype=float), gamma)
+    for start, stop in chunk_bounds(first, last):
+        u = exact_solution(np.arange(start - 2, stop + 2, dtype=float), gamma)
         vf, vb = site_gradient_arrays(u[2:] - u[1:-1], u[:-2] - u[1:-1])
-        out = half[t[0] - first:t[-1] - first + 1]
+        out = half[start - first:stop - first]
         np.subtract(vf[:-2], vf[1:-1], out=out)
         out += vb[2:]
         out -= vb[1:-1]
@@ -364,10 +364,15 @@ class ContinuumModel:
         intervals are added in ascending site order, as one np.bincount over
         the whole side adds them: ascending |site| on the plus side,
         descending on the minus side, in sub-chunks of at most LATTICE_CHUNK
-        intervals.
+        intervals.  An element too large to hold in memory is a UsageError
+        before any force is evaluated.
         """
         minus, plus = self.minus, self.plus
         bounds = np.union1d(plus.nodes, -minus.nodes)
+        # a range longer than a chunk is one element, held whole
+        e = int(np.argmax(np.diff(bounds)))
+        domain.require_memory(f"the element [{bounds[e]}, {bounds[e + 1]}] of the continuum loads",
+                              int(bounds[e + 1] - bounds[e]) + 1, domain.LOAD_BYTES_PER_SITE)
         sums = {side: (np.zeros(side.n), np.zeros(side.n)) for side in (minus, plus)}
         i = 0
         while i < len(bounds) - 1:
@@ -375,10 +380,10 @@ class ContinuumModel:
                                                side="right")) - 1)
             first, last = int(bounds[i]), int(bounds[j])
             f = force.half_line(first, last)
-            for k in lattice_chunks(0, len(f) - 2):
-                sub = slice(k[0], k[-1] + 2)
-                plus._add_load(sums[plus], first + int(k[0]), f[sub])
-                minus._add_load(sums[minus], -last + int(k[0]), -f[::-1][sub])
+            for start, stop in chunk_bounds(0, len(f) - 2):
+                sub = slice(start, stop + 1)
+                plus._add_load(sums[plus], first + start, f[sub])
+                minus._add_load(sums[minus], -last + start, -f[::-1][sub])
             i = j
         for side, (left, right) in sums.items():
             side.load = left + right

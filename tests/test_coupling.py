@@ -74,6 +74,12 @@ ZERO_BLOCK_PAIRS = [
 
 
 @pytest.fixture(scope="module")
+def problem_gamma3_320():
+    dec = make_decomposition(320, 3.0)
+    return CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
+
+
+@pytest.fixture(scope="module")
 def problem_gamma3_20():
     dec = make_decomposition(20, 3.0)
     return CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
@@ -326,16 +332,76 @@ def test_overlap_records_are_the_decomposition_overlaps(problem_10):
         expect[cont.plus], expect[cont.minus])
 
 
-@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
-def test_gradient_equals_dense_products_bit_for_bit(request, problem):
+# (gamma, r_core, scratch of the fewest rows of the largest model): one block
+# per product, then blocks of 4 outputs; at 3:320 the default scratch holds
+# about a hundred rows of the atomistic Hessian
+@pytest.mark.parametrize("gamma,r_core,fewest_rows", [
+    pytest.param(1.5, 10, False, id="problem_10"),
+    pytest.param(3.0, 20, False, id="problem_gamma3_20"),
+    pytest.param(1.5, 10, True, id="problem_10-fewest_rows"),
+    pytest.param(3.0, 20, True, id="problem_gamma3_20-fewest_rows"),
+    pytest.param(3.0, 320, False, id="gamma3_320")])
+def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, fewest_rows):
+    dec = make_decomposition(r_core, gamma)
+    mesh = build_graded_mesh(dec, gamma)
+    if fewest_rows:
+        n = max(m.n for m in CoupledProblem(dec, mesh, gamma).models)
+        monkeypatch.setattr(atc.coupling, "PRODUCT_SCRATCH", 7 * n)
+    problem = CoupledProblem(dec, mesh, gamma)
+    assert problem._scratch.size <= atc.coupling.PRODUCT_SCRATCH
     # states A, B and A again: an entry the scratch kept from B changes A
-    problem = request.getfixturevalue(problem)
     rng = np.random.default_rng(31)
     a, b = random_state(problem, rng), random_state(problem, rng)
     for state in (a, b, a):
         g = problem.lagrangian_gradient(state)
         assert g.tobytes() == dense_gradient(problem, state).tobytes()
         assert not np.any(problem._scratch)
+    # both kinds of product ran by blocks, or none did
+    blocked = {transpose for (_, transpose), plan in problem._plans.items() if len(plan[-1]) > 1}
+    assert blocked == ({False, True} if fewest_rows or r_core == 320 else set())
+
+
+def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
+    # the rules _dense_product's blocks rest on, on this BLAS: a kernel that
+    # splits a product at other rows or columns fails here first.  The row
+    # and column counts are not multiples of 4, and the sums run past 2,048
+    # terms
+    rng = np.random.default_rng(34)
+    a = rng.standard_normal((103, 2_101))
+    v = rng.standard_normal(2_101)
+    whole = a @ v
+    for r0 in range(0, 100, 4):
+        for r1 in (*range(r0 + 4, 103, 4), 103):
+            assert (a[r0:r1] @ v).tobytes() == whole[r0:r1].tobytes()
+    # a.T @ u over the rows that hold a column window's entries, cut outward
+    # to multiples of 4 or to the last row
+    u = rng.standard_normal(2_101)
+    for lo, hi in ((0, 2_100), (5, 2_050), (1_005, 1_900), (2_043, 2_100), (17, 30)):
+        b = np.zeros((2_101, 103))
+        b[lo:hi + 1] = rng.standard_normal((hi + 1 - lo, 103))
+        whole = b.T @ u
+        r0, r1 = lo // 4 * 4, min((hi + 4) // 4 * 4, 2_101)
+        for c0 in range(0, 100, 4):
+            for c1 in (*range(c0 + 4, min(c0 + 40, 103), 4), 103):
+                window = np.ascontiguousarray(b[r0:r1, c0:c1])
+                assert (window.T @ u[r0:r1]).tobytes() == whole[c0:c1].tobytes()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(problem_gamma3_320, transpose):
+    # random arrays that the default scratch cuts into blocks of 56 outputs
+    # and a tail of 1 or 2, over sums of 2,101 terms; a.T's entries lie in
+    # rows 1,005 .. 1,900
+    rng = np.random.default_rng(35)
+    shape = (2_101, 114) if transpose else (113, 2_101)
+    a = rng.standard_normal(shape)
+    if transpose:
+        a[:1_005] = a[1_901:] = 0.0
+    v = rng.standard_normal(shape[0] if transpose else shape[1])
+    pos = np.flatnonzero(a)
+    got = problem_gamma3_320._dense_product(shape, pos, a.ravel()[pos], v, transpose)
+    assert got.tobytes() == ((a.T if transpose else a) @ v).tobytes()
+    assert not np.any(problem_gamma3_320._scratch)
 
 
 def test_gradient_allocates_no_square_array():

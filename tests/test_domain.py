@@ -268,11 +268,14 @@ def test_lattice_chunks_cover_every_site_and_share_the_overlap(monkeypatch, over
     assert chunks[0][0] == -3 and chunks[-1][-1] == 17
     for a, b in zip(chunks, chunks[1:]):
         assert b[0] == a[-1] + 1 - overlap
+    assert list(domain.chunk_bounds(-3, 17, overlap=overlap)) == [
+        (c[0], c[-1] + 1) for c in chunks]
 
 
 @pytest.mark.parametrize("overlap", [-1, 5, 6])
 def test_lattice_chunks_reject_an_overlap_outside_the_chunk(monkeypatch, overlap):
     # overlap >= LATTICE_CHUNK never advanced, and a negative one skipped sites
     monkeypatch.setattr(domain, "LATTICE_CHUNK", 5)
-    with pytest.raises(ValueError, match="overlap"):
-        next(domain.lattice_chunks(0, 20, overlap=overlap))
+    for chunks in (domain.chunk_bounds, domain.lattice_chunks):
+        with pytest.raises(ValueError, match="overlap"):
+            next(chunks(0, 20, overlap=overlap))

@@ -315,6 +315,25 @@ def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, gam
     assert abs(err_l2 - expect_l2) <= 1e-13 * expect_l2
 
 
+def test_loads_reject_an_element_too_large_to_hold_before_any_force(monkeypatch):
+    # the loads hold one element's forces at once: at gamma 1.5, r_core 2560
+    # the largest element has 713,773,012 sites, about 10 GB
+    from atc import models
+
+    dec = make_decomposition(2560, GAMMA)
+    mesh = build_graded_mesh(dec, GAMMA)
+    force = manufacture_forces(GAMMA, dec)
+    monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
+
+    def evaluated(*args):
+        raise AssertionError("a far-field force was evaluated")
+
+    monkeypatch.setattr(models, "_half_line_forces", evaluated)
+    lo = int(dec.r_c - np.max(np.diff(mesh.nodes)))
+    with pytest.raises(UsageError, match=rf"element \[{lo}, {dec.r_c}\].*physical memory"):
+        ContinuumModel(dec, mesh, force)
+
+
 def test_coupled_solve_memory_does_not_grow_with_the_domain():
     # gamma 1.5 at r_core 80 spans 647,637 sites; a per-site float64 array
     # alone would take 5.2 MB, and the one-shot sums held about a dozen
