@@ -111,7 +111,8 @@ class Overlap:
     side is the side's index in CoupledProblem.models; c holds the side's
     nodes inside [-r_a, r_a] as side indices and a the same sites as u_a
     indices; row is the overlap's mean-zero row in eta.  j_ac and j_cc are
-    its u_a-side and side-side blocks of J, as _summed_entries.
+    its u_a-side and side-side blocks of J, as _summed_entries, and plans
+    the _product_plans of j_ac @ v, j_ac.T @ v and j_cc @ v.
     """
 
     side: int
@@ -120,6 +121,7 @@ class Overlap:
     row: int
     j_ac: tuple
     j_cc: tuple
+    plans: tuple
 
 
 @dataclass
@@ -236,6 +238,48 @@ def _summed_entries(shape, *triplets):
     return shape, pos, np.bincount(at, weights=vals)
 
 
+def _product_plan(shape, pos, transpose, size):
+    """The blocks of a @ v, or a.T @ v, in a scratch of size floats, for the
+    C-ordered array a of this shape with entries at the ascending flat
+    positions pos.
+
+    Returns (length, transpose, order, local, blocks): block (o0, o1, v0, v1,
+    i0, i1) makes out[o0:o1] of the length outputs from v[v0:v1] and entries
+    i0 .. i1 - 1 of vals[order], at the flat positions local[i0:i1] of its
+    C-ordered array.  A block without entries is left out; its outputs are
+    zero.  An array that fits the scratch is one block.  Otherwise blocks
+    start at multiples of w, the multiple of 4 that leaves room for 3 more
+    outputs, so a tail of fewer than 4 joins the block before it.  With one
+    BLAS thread, OpenBLAS gives such blocks the whole product's bits:
+    - a[r0:r1] @ v is (a @ v)[r0:r1]; rows stay whole, since the kernel sums
+      the columns in pieces of 2,048, and a column window across a piece's
+      end changes the sum;
+    - a[r0:r1, c0:c1].T @ v[r0:r1] is (a.T @ v)[c0:c1] when rows r0 .. r1 - 1
+      hold every entry of a, r0 a multiple of 4 and r1 one or the row count;
+      all blocks take the narrowest such rows.
+    A block of 1 to 3 outputs can differ in the last bit.
+    """
+    rows, cols = shape
+    # a @ v cuts pos, which is in row order, at the flat positions cut * cols
+    length, order, key, unit, v0, v1 = rows, slice(None), pos, cols, 0, cols
+    if transpose:
+        # a stable sort by column keeps each column's entries in row order
+        order = np.argsort(pos % cols, kind="stable")
+        row, key = np.divmod(pos[order], cols)
+        length, unit = cols, 1
+        v0, v1 = int(row.min()) // 4 * 4, min((int(row.max()) + 4) // 4 * 4, rows)
+    w = length if length * (v1 - v0) <= size else (size // (v1 - v0) - 3) // 4 * 4
+    # each cut but the last leaves 4 or more outputs: a shorter tail joins the block before
+    cuts = [*range(0, max(length - 3, 1), w), length]
+    at = np.searchsorted(key, np.multiply(cuts, unit)).tolist()
+    count = np.subtract(at[1:], at[:-1])
+    o0 = np.repeat(cuts[:-1], count)
+    local = ((row - v0) * np.repeat(np.diff(cuts), count) + key - o0 if transpose
+             else pos - o0 * cols)
+    blocks = [(a, b, v0, v1, i, j) for a, b, i, j in zip(cuts, cuts[1:], at, at[1:]) if j > i]
+    return length, transpose, order, local, blocks
+
+
 def check_tolerance(tolerance: float) -> None:
     """Raise a UsageError unless the Newton tolerance is finite and positive."""
     if not 0.0 < tolerance < np.inf:
@@ -308,6 +352,12 @@ class CoupledProblem:
         self.continuum = ContinuumModel(dec, mesh, self.force)
         self.models = (self.atomistic, self.continuum.minus, self.continuum.plus)
         na = self.atomistic.n
+        # the gradient's dense products are built here, block by block
+        n = max(m.n for m in self.models)
+        self._scratch = np.zeros(min(n * n, max(PRODUCT_SCRATCH, 7 * n)))
+
+        def plan(block, transpose=False):
+            return _product_plan(*block[:2], transpose, self._scratch.size)
 
         w = dec.overlap_width
         self.trapz = np.ones(w + 1)
@@ -330,11 +380,12 @@ class CoupledProblem:
             a = side.nodes[c] + dec.r_a
             ea, ec = np.array((a[:-1], a[1:])), np.array((c[:-1], c[1:]))
             aa.append((ea[:, None], ea[None], coef[:2, :2]))
-            self.overlaps.append(Overlap(
-                k, a, c, len(self.models) - 1 - k,
-                _summed_entries((na, side.n), (ea[:, None], ec[None], coef[:2, 2:])),
-                _summed_entries((side.n, side.n), (ec[:, None], ec[None], coef[2:, 2:]))))
+            j_ac = _summed_entries((na, side.n), (ea[:, None], ec[None], coef[:2, 2:]))
+            j_cc = _summed_entries((side.n, side.n), (ec[:, None], ec[None], coef[2:, 2:]))
+            self.overlaps.append(Overlap(k, a, c, len(self.models) - 1 - k, j_ac, j_cc,
+                                         (plan(j_ac), plan(j_ac, True), plan(j_cc))))
         self._j_aa = _summed_entries((na, na), *aa)
+        self._j_aa_plan = plan(self._j_aa)
 
         sizes = {u: len(range(m.n)[m.free_slice]) for m, (u, _) in zip(self.models, MODEL_BLOCKS)}
         sizes.update({lam: len(m.test_idx) for m, (_, lam) in zip(self.models, MODEL_BLOCKS)})
@@ -342,18 +393,12 @@ class CoupledProblem:
         self.layout = BlockLayout(sizes)
 
         self._kkt_pattern = None
-        # the in-matrix slots of the models' Hessian bands, as flat positions
-        # of dense (n, n) arrays
-        self._hessian_slots = []
+        # the in-matrix slots of the models' Hessian bands, and the plans of
+        # their products as dense (n, n) arrays
+        self._hessian_plans = []
         for m in self.models:
             slot, row, col = _band_slots(m.n)
-            self._hessian_slots.append(((m.n, m.n), row * m.n + col, slot))
-        # every dense product of the gradient writes its entries here, block
-        # by block, and zeros back after; _product_plan's blocks are built on
-        # first use, keyed by position array
-        n = max(m.n for m in self.models)
-        self._scratch = np.zeros(min(n * n, max(PRODUCT_SCRATCH, 7 * n)))
-        self._plans = {}
+            self._hessian_plans.append((slot, plan(((m.n, m.n), row * m.n + col))))
 
     # ---------------- states ----------------
 
@@ -408,87 +453,27 @@ class CoupledProblem:
             total += eta * c
         return float(total)
 
-    def _dense_product(self, shape, pos, vals, v, transpose=False) -> np.ndarray:
-        """a @ v, or a.T @ v, for the C-ordered array a of this shape whose
-        entries at the ascending flat positions pos are vals and are zero
-        elsewhere.
+    def _dense_product(self, plan, vals, v) -> np.ndarray:
+        """The product of a _product_plan whose entries are vals.
 
-        The product is a dense BLAS product on a C-ordered view of the
+        Each block is a dense BLAS product on a C-ordered view of the
         scratch, or on that view's transpose; a sparse product, or a
         Fortran-ordered copy, sums the rows in another order, and one ULP in
         the gradient moves the converged err_l2 past 1e-6 relative (gamma 3,
-        r_core 320).  An array larger than the scratch goes by the blocks of
-        _product_plan, each such a product.  With one BLAS thread, OpenBLAS
-        gives a block the whole product's bits when it makes at least 4
-        outputs, starts at a multiple of 4 and ends at one or at the end:
-        - a[r0:r1] @ v is (a @ v)[r0:r1]; rows stay whole, since the kernel
-          sums the columns in pieces of 2,048, and a column window across a
-          piece's end changes the sum;
-        - a[r0:r1, c0:c1].T @ v[r0:r1] is (a.T @ v)[c0:c1] when rows r0 ..
-          r1 - 1 hold every entry of those columns, with r0 a multiple of 4
-          and r1 one or the row count.
-        A block of 1 to 3 outputs can differ in the last bit.  The scratch
-        is zero again on return.
+        r_core 320).  The scratch is zero again on return.
         """
-        rows, cols = shape
-        if rows * cols > self._scratch.size:
-            key = (id(pos), transpose)
-            if key not in self._plans:
-                # the plan holds pos, so no other array takes its id
-                self._plans[key] = pos, *self._product_plan(shape, pos, transpose)
-            _, local, order, blocks = self._plans[key]
-            if order is not None:
-                vals = vals[order]
-            out = np.zeros(cols if transpose else rows)
-            for o0, o1, v0, v1, i0, i1 in blocks:
-                block = (v1 - v0, o1 - o0) if transpose else (o1 - o0, v1 - v0)
-                out[o0:o1] = self._dense_product(block, local[i0:i1], vals[i0:i1], v[v0:v1],
-                                                 transpose)
-            return out
-        flat = self._scratch[:rows * cols]
-        flat[pos] = vals
-        try:
-            a = flat.reshape(shape)
-            return (a.T if transpose else a) @ v
-        finally:
-            flat[pos] = 0.0
-
-    def _product_plan(self, shape, pos, transpose):
-        """The blocks of _dense_product for an array larger than the scratch.
-
-        Returns (local, order, blocks).  Each block (o0, o1, v0, v1, i0, i1)
-        makes out[o0:o1] from v[v0:v1] and the entries i0 .. i1 - 1 of
-        vals[order] (of vals if order is None), placed at the flat positions
-        local[i0:i1] of the block's array.  Blocks of a @ v are whole rows,
-        blocks of a.T @ v columns over the rows that hold their entries, cut
-        outward to multiples of 4.  Blocks start at multiples of w, the
-        multiple of 4 that leaves room in the scratch for 3 more rows or
-        columns: a tail of fewer than 4 joins the block before it.  A block
-        without entries is not listed, and its outputs are zero.
-        """
-        rows, cols = shape
-        length, across = (cols, rows) if transpose else (rows, cols)
-        w = (self._scratch.size // across - 3) // 4 * 4
-        starts = np.arange(0, length, w)
-        if length - starts[-1] < 4:
-            starts = starts[:-1]
-        row, col = np.divmod(pos, cols)
-        block = np.searchsorted(starts, col if transpose else row, side="right") - 1
-        order = np.argsort(block, kind="stable") if transpose else None
-        if transpose:
-            row, col, block = row[order], col[order], block[order]
-        ids, i0 = np.unique(block, return_index=True)
-        i1 = np.append(i0[1:], len(pos))
-        o0, o1 = starts[ids], np.append(starts[1:], length)[ids]
-        per = np.repeat(np.arange(len(ids)), i1 - i0)
-        if transpose:
-            v0 = np.minimum.reduceat(row, i0) // 4 * 4
-            v1 = np.minimum((np.maximum.reduceat(row, i0) + 4) // 4 * 4, rows)
-            local = (row - v0[per]) * (o1 - o0)[per] + col - o0[per]
-        else:
-            v0, v1 = np.zeros_like(o0), np.full_like(o0, cols)
-            local = pos - o0[per] * cols
-        return local, order, list(zip(*(x.tolist() for x in (o0, o1, v0, v1, i0, i1))))
+        length, transpose, order, local, blocks = plan
+        vals = vals[order]
+        out = np.zeros(length)
+        for o0, o1, v0, v1, i0, i1 in blocks:
+            flat = self._scratch[:(o1 - o0) * (v1 - v0)]
+            flat[local[i0:i1]] = vals[i0:i1]
+            try:
+                a = flat.reshape(v1 - v0, -1).T if transpose else flat.reshape(o1 - o0, -1)
+                out[o0:o1] = a @ v[v0:v1]
+            finally:
+                flat[local[i0:i1]] = 0.0
+        return out
 
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
         fields, adjoints = self._fields(state)
@@ -499,16 +484,16 @@ class CoupledProblem:
         # (aa + ac_minus) + ac_plus
         product = self._dense_product
         u_a = fields[0]
-        parts = [product(*self._j_aa, u_a)] + [None] * len(self.overlaps)
+        parts = [product(self._j_aa_plan, self._j_aa[2], u_a)] + [None] * len(self.overlaps)
         for ov in self.overlaps:
-            parts[0] = parts[0] + product(*ov.j_ac, fields[ov.side])
-            parts[ov.side] = (product(*ov.j_ac, u_a, transpose=True)
-                              + product(*ov.j_cc, fields[ov.side]))
+            (ac, ca, cc), f = ov.plans, fields[ov.side]
+            parts[0] = parts[0] + product(ac, ov.j_ac[2], f)
+            parts[ov.side] = product(ca, ov.j_ac[2], u_a) + product(cc, ov.j_cc[2], f)
         # the Hessians' in-matrix band entries; + 0.0 turns a -0.0 into the
         # zero of an entry a sparse matrix would not store
-        for k, (m, (shape, pos, slot)) in enumerate(zip(self.models, self._hessian_slots)):
-            ab = m.hessian(fields[k])
-            parts[k] = parts[k] + product(shape, pos, ab.ravel()[slot] + 0.0, adjoints[k])
+        for k, (m, (slot, plan)) in enumerate(zip(self.models, self._hessian_plans)):
+            band = m.hessian(fields[k]).ravel()
+            parts[k] = parts[k] + product(plan, band[slot] + 0.0, adjoints[k])
         # C^T eta: an overlap node lies in one mean-zero row only
         for ov in self.overlaps:
             parts[0][ov.a] += self.trapz * state.eta[ov.row]

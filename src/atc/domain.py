@@ -248,3 +248,16 @@ def count_dof(dec: DomainDecomposition, mesh: GradedMesh) -> int:
     """
     coarse = np.sum(np.abs(mesh.nodes) > dec.r_a) - 2
     return int(len(dec.atomistic_sites) + coarse)
+
+
+def require_load_memory(dec: DomainDecomposition, mesh: GradedMesh) -> None:
+    """Reject a mesh whose largest far-field element would not fit in memory.
+
+    The continuum loads hold the forces of one element of |site| >= r_core
+    at once, LOAD_BYTES_PER_SITE per site.  The mesh alone decides this, so
+    a sweep checks every radius before its first solve.
+    """
+    far = np.unique(np.abs(mesh.nodes[np.abs(mesh.nodes) >= dec.r_core]))
+    e = int(np.argmax(np.diff(far)))
+    require_memory(f"the element [{far[e]}, {far[e + 1]}] of the continuum loads",
+                   int(far[e + 1] - far[e]) + 1, LOAD_BYTES_PER_SITE)

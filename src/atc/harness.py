@@ -11,7 +11,7 @@ import numpy as np
 from .coupling import (DEFAULT_TOLERANCE, MODEL_BLOCKS, CoupledProblem, SystemState,
                        check_tolerance)
 from .domain import (build_graded_mesh, count_dof, lattice_chunks, make_decomposition,
-                     optimal_radii)
+                     require_load_memory)
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
 from .models import exact_solution
 from .reference import sum_sq_and_max
@@ -192,13 +192,16 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
 
 
 def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> None:
-    """Raise a UsageError for an invalid tolerance or radius, or an output path
-    that cannot be opened; optimal_radii is arithmetic, so this solves nothing.
-    A file the probe creates is removed again, so a failed run leaves none.
+    """Raise a UsageError for an invalid tolerance or radius, a radius whose
+    largest far-field element would not fit in memory, or an output path that
+    cannot be opened.  The radii and the mesh are arithmetic, so this solves
+    nothing.  A file the probe creates is removed again, so a failed run
+    leaves none.
     """
     check_tolerance(tolerance)
     for r_core in r_cores:
-        optimal_radii(r_core, gamma, norm=norm)
+        dec = make_decomposition(r_core, gamma, norm=norm)
+        require_load_memory(dec, build_graded_mesh(dec, gamma, norm=norm))
     for path in paths:
         if path is not None:
             existed = os.path.lexists(path)

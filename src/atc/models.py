@@ -350,6 +350,7 @@ class ContinuumModel:
         self.minus = ContinuumSide(minus_nodes)
         self.plus = ContinuumSide(plus_nodes)
         if force is not None:
+            domain.require_load_memory(dec, mesh)
             self._build_loads(force)
 
     def _build_loads(self, force: ExternalForce) -> None:
@@ -364,15 +365,11 @@ class ContinuumModel:
         intervals are added in ascending site order, as one np.bincount over
         the whole side adds them: ascending |site| on the plus side,
         descending on the minus side, in sub-chunks of at most LATTICE_CHUNK
-        intervals.  An element too large to hold in memory is a UsageError
-        before any force is evaluated.
+        intervals.  The caller checks the largest element against memory
+        first (domain.require_load_memory).
         """
         minus, plus = self.minus, self.plus
         bounds = np.union1d(plus.nodes, -minus.nodes)
-        # a range longer than a chunk is one element, held whole
-        e = int(np.argmax(np.diff(bounds)))
-        domain.require_memory(f"the element [{bounds[e]}, {bounds[e + 1]}] of the continuum loads",
-                              int(bounds[e + 1] - bounds[e]) + 1, domain.LOAD_BYTES_PER_SITE)
         sums = {side: (np.zeros(side.n), np.zeros(side.n)) for side in (minus, plus)}
         i = 0
         while i < len(bounds) - 1:

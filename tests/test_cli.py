@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from atc import KktSolverError, harness, read_csv
+from atc import KktSolverError, domain, harness, read_csv
 from atc.cli import main
 
 
@@ -218,6 +218,20 @@ def test_sweep_checks_every_radius_before_solving(tmp_path, capsys, monkeypatch)
                             "--out", str(out_file)], capsys)
     assert code == 2
     assert "r_core=3 too small" in err
+    assert not out_file.exists()
+
+
+def test_sweep_checks_every_radius_memory_before_solving(tmp_path, capsys, monkeypatch):
+    # at gamma 1.5 the largest far-field element of r_core 2560 holds 714M
+    # sites, about 10 GB of loads: on 8 GB the sweep exits 2 before it
+    # builds the problem of 40, and leaves no output file
+    monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli(["sweep", "--r-core", "40,2560", "--gamma", "1.5",
+                            "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "of the continuum loads needs about 9.99 GB" in err
     assert not out_file.exists()
 
 

@@ -74,12 +74,6 @@ ZERO_BLOCK_PAIRS = [
 
 
 @pytest.fixture(scope="module")
-def problem_gamma3_320():
-    dec = make_decomposition(320, 3.0)
-    return CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
-
-
-@pytest.fixture(scope="module")
 def problem_gamma3_20():
     dec = make_decomposition(20, 3.0)
     return CoupledProblem(dec, build_graded_mesh(dec, 3.0), 3.0)
@@ -332,22 +326,34 @@ def test_overlap_records_are_the_decomposition_overlaps(problem_10):
         expect[cont.plus], expect[cont.minus])
 
 
-# (gamma, r_core, scratch of the fewest rows of the largest model): one block
-# per product, then blocks of 4 outputs; at 3:320 the default scratch holds
-# about a hundred rows of the atomistic Hessian
-@pytest.mark.parametrize("gamma,r_core,fewest_rows", [
-    pytest.param(1.5, 10, False, id="problem_10"),
-    pytest.param(3.0, 20, False, id="problem_gamma3_20"),
-    pytest.param(1.5, 10, True, id="problem_10-fewest_rows"),
-    pytest.param(3.0, 20, True, id="problem_gamma3_20-fewest_rows"),
-    pytest.param(3.0, 320, False, id="gamma3_320")])
-def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, fewest_rows):
+# (gamma, r_core, scratch of the fewest rows of the largest model, the kinds
+# of product that run by more than one block: False for a @ v, True for
+# a.T @ v): one block per product, then blocks of 4 outputs; at 3:320 the
+# default scratch holds about a hundred rows of the atomistic Hessian.  A
+# transposed J product takes only its overlap's rows (12 or 13 at 1.5:10, 21
+# or 24 at 3:20), so it splits only in the smallest scratch at 3:20
+@pytest.mark.parametrize("gamma,r_core,fewest_rows,blocked", [
+    pytest.param(1.5, 10, False, set(), id="problem_10"),
+    pytest.param(3.0, 20, False, set(), id="problem_gamma3_20"),
+    pytest.param(1.5, 10, True, {False}, id="problem_10-fewest_rows"),
+    pytest.param(3.0, 20, True, {False, True}, id="problem_gamma3_20-fewest_rows"),
+    pytest.param(3.0, 320, False, {False}, id="gamma3_320")])
+def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, fewest_rows,
+                                                    blocked):
     dec = make_decomposition(r_core, gamma)
     mesh = build_graded_mesh(dec, gamma)
     if fewest_rows:
         n = max(m.n for m in CoupledProblem(dec, mesh, gamma).models)
         monkeypatch.setattr(atc.coupling, "PRODUCT_SCRATCH", 7 * n)
+    plans, plan = [], atc.coupling._product_plan
+
+    def recorded(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(atc.coupling, "_product_plan", recorded)
     problem = CoupledProblem(dec, mesh, gamma)
+    assert len(plans) == 10
     assert problem._scratch.size <= atc.coupling.PRODUCT_SCRATCH
     # states A, B and A again: an entry the scratch kept from B changes A
     rng = np.random.default_rng(31)
@@ -356,9 +362,7 @@ def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, 
         g = problem.lagrangian_gradient(state)
         assert g.tobytes() == dense_gradient(problem, state).tobytes()
         assert not np.any(problem._scratch)
-    # both kinds of product ran by blocks, or none did
-    blocked = {transpose for (_, transpose), plan in problem._plans.items() if len(plan[-1]) > 1}
-    assert blocked == ({False, True} if fewest_rows or r_core == 320 else set())
+    assert {transpose for _, transpose, _, _, blocks in plans if len(blocks) > 1} == blocked
 
 
 def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
@@ -388,10 +392,12 @@ def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(problem_gamma3_320, transpose):
-    # random arrays that the default scratch cuts into blocks of 56 outputs
-    # and a tail of 1 or 2, over sums of 2,101 terms; a.T's entries lie in
-    # rows 1,005 .. 1,900
+def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(monkeypatch, problem_10,
+                                                                  transpose):
+    # random arrays over sums of 2,101 terms, each product in a plain scratch
+    # that it fits, then in one that cuts it into blocks of 56 outputs and a
+    # tail of 1 or 2, which joins the block before it.  a.T's entries lie in
+    # rows 1,005 .. 1,900, so its blocks take the 900 rows 1,004 .. 1,903
     rng = np.random.default_rng(35)
     shape = (2_101, 114) if transpose else (113, 2_101)
     a = rng.standard_normal(shape)
@@ -399,9 +405,16 @@ def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(problem_gamma3
         a[:1_005] = a[1_901:] = 0.0
     v = rng.standard_normal(shape[0] if transpose else shape[1])
     pos = np.flatnonzero(a)
-    got = problem_gamma3_320._dense_product(shape, pos, a.ravel()[pos], v, transpose)
-    assert got.tobytes() == ((a.T if transpose else a) @ v).tobytes()
-    assert not np.any(problem_gamma3_320._scratch)
+    window = (1_004, 1_904) if transpose else (0, 2_101)
+    outputs, across = shape[1] if transpose else shape[0], window[1] - window[0]
+    for size, cuts in ((outputs * across, [0, outputs]), (59 * across, [0, 56, outputs])):
+        plan = atc.coupling._product_plan(shape, pos, transpose, size)
+        assert [b[:4] for b in plan[-1]] == [(o0, o1, *window) for o0, o1 in zip(cuts, cuts[1:])]
+        scratch = np.zeros(size)
+        monkeypatch.setattr(problem_10, "_scratch", scratch)
+        got = problem_10._dense_product(plan, a.ravel()[pos], v)
+        assert got.tobytes() == ((a.T if transpose else a) @ v).tobytes()
+        assert not np.any(scratch)
 
 
 def test_gradient_allocates_no_square_array():
