@@ -34,7 +34,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _read_config(path) -> dict:
+def _read_config(args) -> dict:
+    """The key=value lines of args.config; each key names an option of the subcommand."""
+    path, options = args.config, {key.replace("_", "-") for key in vars(args)}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -46,8 +48,8 @@ def _read_config(path) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("_", "-")
-                if key not in _CONFIG_KEYS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _CONFIG_KEYS or key not in options:
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {args.command}")
                 try:
                     values[key] = _CONFIG_KEYS[key](val.strip())
                 except ValueError as err:
@@ -59,13 +61,14 @@ def _read_config(path) -> dict:
     return values
 
 
-def _merged(args, config_path) -> dict:
-    """Config file values, overridden by flags given on the command line."""
-    merged = _read_config(config_path) if config_path else {}
-    for key, val in vars(args).items():
-        if val is not None:
-            merged[key.replace("_", "-")] = val
-    return merged
+def _inputs(args):
+    """The config merged under the flags, and the radii, gamma, norm and tolerance."""
+    merged = _read_config(args) if args.config else {}
+    merged.update((key.replace("_", "-"), val) for key, val in vars(args).items()
+                  if val is not None)
+    return (merged, _parse_r_cores(_require(merged, "r-core")),
+            float(_require(merged, "gamma")), merged.get("norm", "energy"),
+            merged.get("tol", DEFAULT_TOLERANCE))
 
 
 def _require(merged, key):
@@ -85,14 +88,11 @@ def _parse_r_cores(text) -> list[int]:
 
 
 def _cmd_run(args) -> int:
-    merged = _merged(args, args.config)
-    r_cores = _parse_r_cores(_require(merged, "r-core"))
+    merged, r_cores, gamma, norm, tolerance = _inputs(args)
     if len(r_cores) != 1:
         raise UsageError(f"run takes one core radius, got {merged['r-core']!r}")
-    gamma, norm = float(_require(merged, "gamma")), merged.get("norm", "energy")
-    tolerance = merged.get("tol", DEFAULT_TOLERANCE)
-    harness.check_inputs(r_cores, gamma, norm, tolerance, (merged.get("out"),))
-    record = harness.run_single(r_cores[0], gamma, norm=norm, tolerance=tolerance)
+    [(dec, mesh)] = harness.check_inputs(r_cores, gamma, norm, tolerance, (merged.get("out"),))
+    record, _, _ = harness._solve_point(dec, mesh, gamma, tolerance)
     print(f"r_core={record.r_core} r_a={record.r_a} r_c={record.r_c} "
           f"dof={record.dof} err_l2={record.err_l2:.6e} err_inf={record.err_inf:.6e} "
           f"iters={record.newton_iters} residual={record.residual:.3e} "
@@ -103,11 +103,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    merged = _merged(args, args.config)
-    r_cores = _parse_r_cores(_require(merged, "r-core"))
+    merged, r_cores, gamma, norm, tolerance = _inputs(args)
     records = harness.run_sweep(
-        r_cores, float(_require(merged, "gamma")),
-        norm=merged.get("norm", "energy"), tolerance=merged.get("tol", DEFAULT_TOLERANCE),
+        r_cores, gamma, norm=norm, tolerance=tolerance,
         warm_start=bool(merged.get("warm-start", False)),
         csv_path=merged.get("out"), plot_path=merged.get("plot-data"),
         progress=lambda r: print(

@@ -129,27 +129,17 @@ def measure_errors(problem: CoupledProblem, state: SystemState) -> tuple[float, 
     return float(np.sqrt(sq)), largest
 
 
-def _build_problem(r_core, gamma, norm) -> CoupledProblem:
-    dec = make_decomposition(r_core, gamma, norm=norm)
-    mesh = build_graded_mesh(dec, gamma, norm=norm)
-    return CoupledProblem(dec, mesh, gamma)
-
-
-def _solve_point(r_core, gamma, norm, tolerance, prev=None, record_errors=False):
-    """Build, seed, solve and measure one point, all inside wall_time.
+def _solve_point(dec, mesh, gamma, tolerance, prev=None, record_errors=False):
+    """Build on a checked mesh, seed, solve and measure one point, in wall_time.
 
     prev, the (problem, state) of a solved point, seeds a warm start.  A
     NonConvergenceError gives an unconverged record; with record_errors, so
     do a failed linear solve and an unevaluable state, and that record has
-    no iterations and a NaN residual.  An invalid tolerance raises before
-    anything is built.
+    no iterations and a NaN residual.
     """
-    check_tolerance(tolerance)
     t0 = time.perf_counter()
-    problem = _build_problem(r_core, gamma, norm)
+    problem = CoupledProblem(dec, mesh, gamma)
     initial = _warm_initial(problem, *prev) if prev is not None else None
-    mesh = problem.mesh
-    dec = problem.dec
     state = None
     try:
         state, diag = problem.newton_solve(initial, tolerance)
@@ -166,7 +156,7 @@ def _solve_point(r_core, gamma, norm, tolerance, prev=None, record_errors=False)
     else:
         err_l2 = err_inf = objective = float("nan")
     record = ConvergenceRecord(
-        r_core=r_core, r_a=dec.r_a, r_c=dec.r_c, dof=count_dof(dec, mesh),
+        r_core=dec.r_core, r_a=dec.r_a, r_c=dec.r_c, dof=count_dof(dec, mesh),
         err_l2=err_l2, err_inf=err_inf, objective=objective,
         newton_iters=diag.iterations if diag is not None else 0,
         residual=diag.residuals[-1] if diag is not None else float("nan"),
@@ -176,9 +166,9 @@ def _solve_point(r_core, gamma, norm, tolerance, prev=None, record_errors=False)
 
 def run_single(r_core: int, gamma: float, norm: str = "energy",
                tolerance: float = DEFAULT_TOLERANCE) -> ConvergenceRecord:
-    """Build, solve and measure one coupled problem."""
-    record, _, _ = _solve_point(r_core, gamma, norm, tolerance)
-    return record
+    """Check, build, solve and measure one coupled problem."""
+    [(dec, mesh)] = check_inputs([r_core], gamma, norm, tolerance, ())
+    return _solve_point(dec, mesh, gamma, tolerance)[0]
 
 
 def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
@@ -191,23 +181,34 @@ def _warm_initial(problem: CoupledProblem, prev_problem: CoupledProblem,
     return state
 
 
-def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> None:
-    """Raise a UsageError for an invalid tolerance or radius, a radius whose
-    largest far-field element would not fit in memory, or an output path that
-    cannot be opened.  The radii and the mesh are arithmetic, so this solves
-    nothing.  A file the probe creates is removed again, so a failed run
-    leaves none.
+def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> list:
+    """Each radius's (decomposition, graded mesh), in order, for the solve.
+
+    Raises a UsageError for an invalid tolerance or radius, a radius whose
+    largest far-field element would not fit in memory, two output paths
+    that name the same file, or one that cannot be opened.  The radii and
+    the mesh are arithmetic, so this solves nothing.  A file the probe
+    creates is removed again, so a failed run leaves none.
     """
     check_tolerance(tolerance)
+    points = []
     for r_core in r_cores:
         dec = make_decomposition(r_core, gamma, norm=norm)
-        require_load_memory(dec, build_graded_mesh(dec, gamma, norm=norm))
-    for path in paths:
-        if path is not None:
-            existed = os.path.lexists(path)
-            _open_output(path, "a").close()
-            if not existed:
-                os.remove(path)
+        mesh = build_graded_mesh(dec, gamma, norm=norm)
+        require_load_memory(dec, mesh)
+        points.append((dec, mesh))
+    named = {}
+    for path in (p for p in paths if p is not None):
+        real = os.path.realpath(path)
+        if real in named:
+            raise UsageError(f"outputs {named[real]} and {path} name the same file")
+        named[real] = path
+    for path in named.values():
+        existed = os.path.lexists(path)
+        _open_output(path, "a").close()
+        if not existed:
+            os.remove(path)
+    return points
 
 
 def run_sweep(r_cores, gamma: float, norm: str = "energy",
@@ -218,15 +219,13 @@ def run_sweep(r_cores, gamma: float, norm: str = "energy",
 
     A non-converged Newton run, a failed linear solve or an unevaluable state
     gives a record with converged false and NaN errors; a UsageError raises.
-    An invalid tolerance or radius, or an output path that cannot be opened,
-    raises before the first solve.
+    check_inputs runs before the first solve, and each radius is solved on
+    the mesh it built.
     """
-    r_cores = list(r_cores)
-    check_inputs(r_cores, gamma, norm, tolerance, (csv_path, plot_path))
     records = []
     prev = None
-    for r_core in r_cores:
-        record, problem, state = _solve_point(r_core, gamma, norm, tolerance, prev,
+    for dec, mesh in check_inputs(r_cores, gamma, norm, tolerance, (csv_path, plot_path)):
+        record, problem, state = _solve_point(dec, mesh, gamma, tolerance, prev,
                                               record_errors=True)
         records.append(record)
         if warm_start:

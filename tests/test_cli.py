@@ -186,16 +186,20 @@ def _no_solve(*args, **kwargs):
     ("sweep", "r-core=4\ngamma=1.5\nplot-data={path}.d/x.dat\n",
      "No such file or directory: '{path}.d/x.dat'"),
     ("run", b"r-core=4\ngamma=1.5\n# \xff\n", "{path}: not valid UTF-8"),
+    ("run", "r-core=4\ngamma=1.5\nplot-data={path}.dat\n",
+     "{path}:3: unknown key 'plot-data' for run"),
+    ("run", "warm-start=true\nr-core=4\ngamma=1.5\n", "{path}:1: unknown key 'warm-start' for run"),
     ("rate", CSV_HEADER.encode() + b"\n\xff\n", "{path}: not valid UTF-8"),
 ], ids=["r-core", "gamma", "run-r-core-list", "warm-start", "sweep-r-core-comma",
         "sweep-r-core-empty", "rate-missing-file",
         "rate-bad-field", "rate-converged-yes", "rate-zero-err", "rate-nan-err",
         "rate-zero-dof", "rate-equal-dof", "run-out-unwritable", "sweep-out-unwritable",
-        "sweep-plot-data-unwritable", "config-not-utf8", "rate-not-utf8"])
+        "sweep-plot-data-unwritable", "config-not-utf8", "run-plot-data-key",
+        "run-warm-start-key", "rate-not-utf8"])
 def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys,
                                        monkeypatch):
     # run and sweep check their inputs and outputs before they build a problem
-    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
     path = tmp_path / "input.txt"
     if isinstance(text, bytes):
         path.write_bytes(text)
@@ -212,7 +216,7 @@ def test_malformed_input_is_usage_error(command, text, message, tmp_path, capsys
 def test_sweep_checks_every_radius_before_solving(tmp_path, capsys, monkeypatch):
     # r_core 3 is too small; the valid 4 and 5 before it are not solved and
     # no output file is left behind
-    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
     out_file = tmp_path / "x.csv"
     code, _, err = run_cli(["sweep", "--r-core", "4,5,3", "--gamma", "1.5",
                             "--out", str(out_file)], capsys)
@@ -226,7 +230,7 @@ def test_sweep_checks_every_radius_memory_before_solving(tmp_path, capsys, monke
     # sites, about 10 GB of loads: on 8 GB the sweep exits 2 before it
     # builds the problem of 40, and leaves no output file
     monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
-    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
     out_file = tmp_path / "x.csv"
     code, _, err = run_cli(["sweep", "--r-core", "40,2560", "--gamma", "1.5",
                             "--out", str(out_file)], capsys)
@@ -235,11 +239,49 @@ def test_sweep_checks_every_radius_memory_before_solving(tmp_path, capsys, monke
     assert not out_file.exists()
 
 
+def test_sweep_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    # --plot-data would be written over the --out CSV; the second path
+    # reaches the file through a symlinked directory
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
+    out_file, alias = tmp_path / "x.csv", tmp_path / "alias"
+    alias.symlink_to(tmp_path)
+    code, _, err = run_cli(["sweep", "--r-core", "4,5", "--gamma", "1.5", "--out", str(out_file),
+                            "--plot-data", str(alias / "x.csv")], capsys)
+    assert code == 2
+    assert f"outputs {out_file} and {alias / 'x.csv'} name the same file" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("call,points", [
+    (lambda: main(["run", "--r-core", "4", "--gamma", "1.5"]), 1),
+    (lambda: main(["sweep", "--r-core", "4,5", "--gamma", "1.5"]), 2),
+    (lambda: harness.run_single(4, 1.5), 1),
+    (lambda: harness.run_sweep([4, 5], 1.5), 2),
+], ids=["atc-run", "atc-sweep", "run_single", "run_sweep"])
+def test_each_radius_is_decomposed_and_meshed_once(call, points, capsys, monkeypatch):
+    # the input check builds each radius's decomposition and mesh, and the
+    # solve builds its problem on them
+    built = []
+
+    def counted(name):
+        func = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_decomposition", "build_graded_mesh"):
+        monkeypatch.setattr(harness, name, counted(name))
+    call()
+    assert built == ["make_decomposition", "build_graded_mesh"] * points
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_nan_tol_is_checked_before_solving(command, tmp_path, capsys, monkeypatch):
     # the tolerance is checked with the radii, before a problem is built or
     # the output file is opened
-    monkeypatch.setattr(harness, "_build_problem", _no_solve)
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
     out_file = tmp_path / "x.csv"
     code, _, err = run_cli([command, "--r-core", "10", "--gamma", "1.5", "--tol", "nan",
                             "--out", str(out_file)], capsys)
@@ -255,7 +297,7 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise KktSolverError("singular")
 
-    monkeypatch.setattr(harness, "run_single", fail)
+    monkeypatch.setattr(harness, "_solve_point", fail)
     out_file, kept = tmp_path / "x.csv", tmp_path / "kept.csv"
     kept.write_text("earlier\n")
     for path in (out_file, kept):
@@ -281,7 +323,8 @@ def test_non_convergence_exit_code(capsys):
 
 
 def test_installed_entry_point(tmp_path):
-    # exercised through the console script exactly as a user would call it
+    # a fresh interpreter runs the module as `python -m atc.cli`; the `atc`
+    # console script calls the same main
     proc = subprocess.run(
         [sys.executable, "-m", "atc.cli", "run", "--r-core", "4",
          "--gamma", "1.5"], capture_output=True, text=True)

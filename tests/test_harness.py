@@ -11,9 +11,13 @@ import atc.harness
 from atc import (
     ConfigurationError,
     ConvergenceRecord,
+    CoupledProblem,
     KktSolverError,
     UsageError,
+    build_graded_mesh,
+    domain,
     fit_rate,
+    make_decomposition,
     read_csv,
     records_to_csv,
     run_single,
@@ -21,8 +25,18 @@ from atc import (
     write_csv,
     write_plot_data,
 )
-from atc.harness import CSV_HEADER, _build_problem, _warm_initial
+from atc.harness import CSV_HEADER, _warm_initial
 from conftest import GAMMA
+
+
+def build_problem(r_core):
+    """The coupled problem of one radius at GAMMA, as a solve builds it."""
+    dec = make_decomposition(r_core, GAMMA)
+    return CoupledProblem(dec, build_graded_mesh(dec, GAMMA), GAMMA)
+
+
+def no_build(*args):
+    raise AssertionError("a problem was built before the inputs were checked")
 
 
 def untimed(records):
@@ -108,12 +122,28 @@ def test_run_single_rejects_small_core_radius():
 
 @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
 def test_run_single_checks_tolerance_before_building(tolerance, monkeypatch):
-    def no_build(*args):
-        raise AssertionError("problem built before the tolerance was checked")
-
-    monkeypatch.setattr(atc.harness, "_build_problem", no_build)
+    monkeypatch.setattr(atc.harness, "build_graded_mesh", no_build)
+    monkeypatch.setattr(atc.harness, "CoupledProblem", no_build)
     with pytest.raises(UsageError, match="tolerance"):
         run_single(10, GAMMA, tolerance=tolerance)
+
+
+def test_run_single_checks_load_memory_before_building(monkeypatch):
+    # at gamma 1.5 the largest far-field element of r_core 2560 needs about
+    # 10 GB of loads: on 8 GB run_single raises before it builds the problem
+    monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(atc.harness, "CoupledProblem", no_build)
+    with pytest.raises(UsageError, match="of the continuum loads needs about 9.99 GB"):
+        run_single(2560, GAMMA)
+
+
+def test_sweep_rejects_one_file_for_both_outputs(tmp_path, monkeypatch):
+    # the plot data would be written over the CSV
+    monkeypatch.setattr(atc.harness, "CoupledProblem", no_build)
+    path = tmp_path / "x.csv"
+    with pytest.raises(UsageError, match="name the same file"):
+        run_sweep([4, 5], GAMMA, csv_path=path, plot_path=path)
+    assert not path.exists()
 
 
 def test_sweep_singleton_matches_run_single():
@@ -151,22 +181,22 @@ def test_sweep_warm_start_reaches_same_solution():
 
 def test_warm_sweep_wall_time_covers_build_and_seed(monkeypatch):
     # a warm point is built and seeded inside its own clock, as a cold one is
-    build = atc.harness._build_problem
+    build = atc.harness.CoupledProblem
 
     def slow_build(*args):
         time.sleep(0.05)
         return build(*args)
 
-    monkeypatch.setattr(atc.harness, "_build_problem", slow_build)
+    monkeypatch.setattr(atc.harness, "CoupledProblem", slow_build)
     records = run_sweep([4, 5, 6], GAMMA, warm_start=True)
     assert all(r.converged for r in records)
     assert all(r.wall_time >= 0.05 for r in records), [r.wall_time for r in records]
 
 
 def test_warm_seed_samples_the_previous_composite():
-    prev = _build_problem(10, GAMMA, "energy")
+    prev = build_problem(10)
     prev_state, _ = prev.newton_solve()
-    problem = _build_problem(11, GAMMA, "energy")
+    problem = build_problem(11)
     assert problem.dec.r_c > prev.dec.r_c
     vals = prev.assemble_atc_solution(prev_state)
 
@@ -200,7 +230,7 @@ def test_sweep_records_solver_errors_and_continues(monkeypatch, error):
     # a solver failure at one radius is recorded like a non-converged point;
     # the radii before and after it still solve, and run_single still raises
     solve = atc.coupling.solve_kkt_linear
-    failing_size = _build_problem(5, GAMMA, "energy").layout.total
+    failing_size = build_problem(5).layout.total
 
     def solve_or_fail(matrix, rhs):
         if len(rhs) == failing_size:
