@@ -203,11 +203,13 @@ def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> l
         if real in named:
             raise UsageError(f"outputs {named[real]} and {path} name the same file")
         named[real] = path
-    for path in named.values():
-        existed = os.path.lexists(path)
+    # the probe opens the file a path resolves to, which for a dangling
+    # symlink is the missing target, not the link
+    for real, path in named.items():
+        existed = os.path.exists(real)
         _open_output(path, "a").close()
         if not existed:
-            os.remove(path)
+            os.remove(real)
     return points
 
 

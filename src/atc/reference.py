@@ -8,7 +8,12 @@ pivoting) on the half-line, in time and memory linear in the number of sites.
 The iteration itself is coupling.damped_newton, the loop of the coupled
 solve, and the band is assembled by models.stencil_band, as the coupled
 Hessians are; the unknowns, the energy and the LU are the oracle's own, and
-they are what keeps the cross-check independent.
+they are what keeps the cross-check independent.  The residual and the band
+are evaluated over the lattice chunks of domain.chunk_bounds, each from its
+own window of the odd field, and each chunk's band columns are written
+straight into the column-major array that LAPACK's gbsv factors in place:
+the solve holds its Newton vectors, the forces and that one array, and no
+other array of every site.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
@@ -26,9 +31,10 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .coupling import DEFAULT_TOLERANCE, damped_newton
-from .domain import DomainDecomposition, GradedMesh, lattice_chunks, require_memory
+from .domain import (DomainDecomposition, GradedMesh, chunk_bounds, lattice_chunks,
+                     require_memory)
 from .exceptions import KktSolverError, UsageError
-from .models import (exact_solution, exact_solution_derivative, force_values,
+from .models import (_half_line_forces, exact_solution, exact_solution_derivative,
                      stencil_band, stencil_gradient)
 from .potentials import INTERACTION_RANGE, site_gradient_arrays, site_hessian_arrays
 
@@ -55,30 +61,47 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
     """
     require_memory("the full-lattice solve", 2 * dec.r_c + 1)
     n, k = dec.r_c, INTERACTION_RANGE
-    forces = force_values(np.arange(1, n + 1), gamma)
+    forces = _half_line_forces(1, n, gamma)
 
-    # the window holds sites -1 .. n + 2; its site energies, on the stencils
-    # (0, 1, 2), are those of sites 0 .. n + 1, every one that reads an unknown
-    def differences(u):
-        ue = np.concatenate(((-u[0], 0.0), u, (0.0, 0.0)))
-        return ue[2:] - ue[1:-1], ue[:-2] - ue[1:-1]
+    # each chunk of sites start .. stop - 1 reads the odd field on sites
+    # start - 2 .. stop + 1, whose site energies, on the stencils (0, 1, 2),
+    # are those of sites start - 1 .. stop: every one that reads the chunk
+    def differences(u, start, stop):
+        w = np.zeros(stop - start + 4)
+        first, last = max(start - 2, 1), min(stop + 1, n)
+        w[first - start + 2:last - start + 3] = u[first - 1:last]
+        if start == 1:
+            w[0] = -u[0]
+        return w[2:] - w[1:-1], w[:-2] - w[1:-1]
 
     def residual_vec(u):
-        vf, vb = site_gradient_arrays(*differences(u))
-        return stencil_gradient(n + 4, 0, 1, 2, vf, vb)[2:-2] - forces
+        g = np.empty(n)
+        for start, stop in chunk_bounds(1, n):
+            vf, vb = site_gradient_arrays(*differences(u, start, stop))
+            np.subtract(stencil_gradient(stop - start + 4, 0, 1, 2, vf, vb)[2:-2],
+                        forces[start - 1:stop - 1], out=g[start - 1:stop - 1])
+        return g
 
     def banded_step(u, g):
-        ab = stencil_band(n + 4, 0, 1, 2, *site_hessian_arrays(*differences(u)))
-        # the unknowns' block under k rows for the LU's fill, in the column-major
-        # layout gbsv factors in place; LAPACK never reads the corners
+        # the band under k rows for the LU's fill, in the column-major layout
+        # dgbsv factors in place; column j holds unknown j, as g[j] does, and
+        # LAPACK never reads the corners
         lu = np.zeros((3 * k + 1, n), order="F")
-        lu[k:] = ab[:, 2:-2]
-        # u(-1) = -u(1): site 1's coupling to site -1 folds into its diagonal
-        lu[2 * k, 0] -= ab[k + 2, 0]
-        rhs = -g
-        if not (np.isfinite(lu).all() and np.isfinite(rhs).all()):
-            raise KktSolverError("banded step: non-finite Hessian band or gradient")
-        _, _, step, info = dgbsv(k, k, lu, rhs, overwrite_ab=True, overwrite_b=True)
+        for start, stop in chunk_bounds(1, n):
+            ab = stencil_band(stop - start + 4, 0, 1, 2,
+                              *site_hessian_arrays(*differences(u, start, stop)))
+            # the window's inner columns, the chunk's own, are complete
+            cols = lu[k:, start - 1:stop - 1]
+            cols[...] = ab[:, 2:-2]
+            if start == 1:
+                # u(-1) = -u(1): site 1's coupling to site -1, the first
+                # window's first column, folds into its diagonal
+                cols[k, 0] -= ab[k + 2, 0]
+            # freed before the next chunk's band is built beside it
+            del ab
+            if not (np.isfinite(cols).all() and np.isfinite(g[start - 1:stop - 1]).all()):
+                raise KktSolverError("banded step: non-finite Hessian band or gradient")
+        _, _, step, info = dgbsv(k, k, lu, -g, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise KktSolverError("banded factorization failed: singular matrix")
         return step

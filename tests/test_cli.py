@@ -309,6 +309,21 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys, monkeypatch):
     assert kept.read_text() == "earlier\n"
 
 
+def test_failed_run_through_a_dangling_link_leaves_no_target(tmp_path, capsys, monkeypatch):
+    # the probe opens the link's missing target and so creates it; the link
+    # was there before and stays, the target it created goes
+    def fail(*args, **kwargs):
+        raise KktSolverError("singular")
+
+    monkeypatch.setattr(harness, "_solve_point", fail)
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    code, _, err = run_cli(["run", "--r-core", "4", "--gamma", "1.5", "--out", str(link)], capsys)
+    assert code == 4
+    assert "internal error: singular" in err
+    assert link.is_symlink() and not target.exists()
+
+
 def test_non_convergence_exit_code(capsys):
     # an unreachable tolerance (below the roundoff floor) leaves every
     # point unconverged: recorded, reported, exit code 3

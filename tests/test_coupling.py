@@ -48,6 +48,12 @@ KKT_COST_BOUNDS = {
     (1.5, 80): (12_847, 40_581),
 }
 
+# (gamma, r_core) -> peak bytes that tracemalloc traces per unknown of the
+# full-lattice oracle, at most: 121.3 measured with the band built chunk by
+# chunk into LAPACK's array, 151.1 when it was built over the whole
+# half-line and copied there
+ORACLE_TRACED_BYTES = {(1.5, 40): 128}
+
 # (gamma, r_core) -> (sites handed to models._half_line_forces, sites that
 # measure_errors hands to composite_at) at most, for a cold solve and its
 # errors.  The force sites are 0 .. r_c once each, plus the first site of
@@ -617,6 +623,22 @@ def test_kkt_factorizations_stay_within_recorded_cost(monkeypatch, gamma, r_core
     nnz, fill = KKT_COST_BOUNDS[gamma, r_core]
     assert max(k for k, _ in counts) <= nnz
     assert max(f for _, f in counts) <= fill
+
+
+@pytest.mark.parametrize("gamma,r_core", sorted(ORACLE_TRACED_BYTES))
+def test_oracle_stays_within_recorded_traced_bytes(gamma, r_core):
+    # the oracle holds its unknowns, gradients and LAPACK's band; a second
+    # band or any other per-site array is 8 bytes per unknown per row
+    import tracemalloc
+
+    dec = make_decomposition(r_core, gamma)
+    tracemalloc.start()
+    try:
+        solve_full_atomistic(dec, gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / dec.r_c <= ORACLE_TRACED_BYTES[gamma, r_core]
 
 
 @pytest.mark.parametrize("gamma,r_core", sorted(SITE_COUNT_BOUNDS))

@@ -19,6 +19,7 @@ from atc import (
     UsageError,
     build_graded_mesh,
     conjectured_bound,
+    domain,
     energy_seminorm_error,
     exact_solution,
     make_decomposition,
@@ -124,6 +125,25 @@ def test_oracle_reproduces_recorded_numerics(r_core):
     assert ref.iterations == iters
     assert (energy_seminorm_error(ref.values, exact_solution(ref.sites, GAMMA))
             == pytest.approx(err, rel=1e-12, abs=0.0))
+
+
+@pytest.mark.parametrize("gamma,r_core,iterations", [(1.5, 10, 6), (3.0, 20, 5)])
+def test_oracle_by_lattice_chunks_is_one_chunk_bit_for_bit(monkeypatch, gamma, r_core,
+                                                            iterations):
+    # the residual and the band are built chunk by chunk, each from its own
+    # window of the odd field; the seams, a last chunk of one site and the
+    # fold of site 1 onto site -1 in the first chunk must keep every bit of
+    # the one chunk these domains fit in.  The iterations were recorded at
+    # commit 4af6e97: a fold read one band row off took 8 and 7
+    dec = make_decomposition(r_core, gamma)
+    assert dec.r_c < domain.LATTICE_CHUNK
+    whole = solve_full_atomistic(dec, gamma)
+    assert whole.iterations == iterations
+    for chunk in (1, 5, 7):
+        monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
+        ref = solve_full_atomistic(dec, gamma)
+        assert ref.values.tobytes() == whole.values.tobytes()
+        assert (ref.iterations, repr(ref.residual)) == (whole.iterations, repr(whole.residual))
 
 
 def test_singular_oracle_step_is_a_kkt_solver_error(monkeypatch):
