@@ -17,11 +17,10 @@ indefinite saddle-point system
 where A carries second derivatives with respect to the two displacement
 states (the objective's constant Hessian plus the adjoint-contracted third
 derivatives of the subproblem energies) and B the constraint linearizations.
-Each step gathers the matrix from the models' Hessian bands into a canonical
-CSC pattern that the first step builds, with the constant objective and
-constraint entries stored in the pattern.  Only the gradient keeps dense
-products, built by blocks of rows or columns in one fixed scratch array that
-the problem keeps zeroed.
+Each step takes the matrix's entries, each position once, from the models'
+Hessian bands, which the gradient at the same point has evaluated, and from
+the constant objective and constraint entries.  Only the gradient keeps dense
+products, by blocks in one fixed scratch array that the problem keeps zeroed.
 """
 
 from __future__ import annotations
@@ -299,6 +298,8 @@ def damped_newton(x0, gradient, step, tolerance: float, diagnostics=None):
     check_tolerance(tolerance)
     diag = diagnostics if diagnostics is not None else NewtonDiagnostics()
     x, grad = x0, gradient(x0)
+    # x0 and each accepted step are not read again: none is held by the next step
+    del x0
     res = float(np.max(np.abs(grad)))
     diag.residuals.append(res)
 
@@ -324,6 +325,7 @@ def damped_newton(x0, gradient, step, tolerance: float, diagnostics=None):
             raise NonConvergenceError(
                 f"line search failed at residual {res:.3e}", diagnostics=diag)
         x, grad, res = trial, grad_new, res_new
+        del direction
         diag.residuals.append(res)
         diag.step_lengths.append(alpha)
 
@@ -368,7 +370,7 @@ class CoupledProblem:
         # Hessian J sums the outer products of those coefficients.  Each block
         # of J (u_a-u_a over both overlaps, then u_a-side and side-side per
         # overlap) is held as the summed entries of a dense C-ordered array of
-        # its shape, for the gradient's products and the KKT pattern.  The
+        # its shape, for the gradient's products and the KKT entries.  The
         # mean-zero rows C hold the trapezoid weights on each overlap's nodes,
         # + on u_a and - on the side.  eta's rows take the sides from the
         # right: row 0 is the plus side's.
@@ -392,13 +394,14 @@ class CoupledProblem:
         sizes["eta"] = len(self.overlaps)
         self.layout = BlockLayout(sizes)
 
-        self._kkt_pattern = None
         # the in-matrix slots of the models' Hessian bands, and the plans of
         # their products as dense (n, n) arrays
         self._hessian_plans = []
         for m in self.models:
             slot, row, col = _band_slots(m.n)
             self._hessian_plans.append((slot, plan(((m.n, m.n), row * m.n + col))))
+        # the first lagrangian_hessian call's KKT entries; the last gradient's point
+        self._kkt_entries = self._point = None
 
     # ---------------- states ----------------
 
@@ -476,6 +479,10 @@ class CoupledProblem:
         return out
 
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
+        """Gradient of the stationarity functional; keeps its point (a copy of
+        the vector, the fields, the adjoints and the Hessian bands) for a
+        lagrangian_hessian call at an equal vector."""
+        self._point = None
         fields, adjoints = self._fields(state)
         lay = self.layout
         g = np.zeros(lay.total)
@@ -491,9 +498,9 @@ class CoupledProblem:
             parts[ov.side] = product(ca, ov.j_ac[2], u_a) + product(cc, ov.j_cc[2], f)
         # the Hessians' in-matrix band entries; + 0.0 turns a -0.0 into the
         # zero of an entry a sparse matrix would not store
-        for k, (m, (slot, plan)) in enumerate(zip(self.models, self._hessian_plans)):
-            band = m.hessian(fields[k]).ravel()
-            parts[k] = parts[k] + product(plan, band[slot] + 0.0, adjoints[k])
+        hessians = [m.hessian(f) for m, f in zip(self.models, fields)]
+        for k, (band, (slot, plan)) in enumerate(zip(hessians, self._hessian_plans)):
+            parts[k] = parts[k] + product(plan, band.ravel()[slot] + 0.0, adjoints[k])
         # C^T eta: an overlap node lies in one mean-zero row only
         for ov in self.overlaps:
             parts[0][ov.a] += self.trapz * state.eta[ov.row]
@@ -502,85 +509,74 @@ class CoupledProblem:
             g[lay[u]] = part[m.free_slice]
             g[lay[lam]] = m.gradient(field_)[m.test_idx]
         g[lay["eta"]] = self.mean_zero_constraints(*self._unknowns(state))
+        self._point = (state.vector.copy(), fields, adjoints, hessians)
         return g
 
-    def _build_kkt_pattern(self):
-        """Canonical CSC pattern of every KKT entry that can be nonzero.
-
-        Returns (rows, indptr, source, constant).  Entry e lies in row rows[e]
-        and its value is flat[source[e]] + constant[e], where flat is the
-        bands of lagrangian_hessian raveled end to end and then one zero.  A
-        band entry's constant is its J entry, or zero; a J or C entry outside
-        the bands takes the zero.
-        """
-        lay, n = self.layout, self.layout.total
-
-        def to_block(m, idx, name):
-            # position in K of model index idx[i]; -1 where K leaves one out
-            where = np.full(m.n, -1)
-            where[idx] = np.arange(lay[name].start, lay[name].stop)
-            return where
-
-        u_at = [to_block(m, np.arange(m.n)[m.free_slice], u)
-                for m, (u, _) in zip(self.models, MODEL_BLOCKS)]
-        lam_at = [to_block(m, m.test_idx, lam) for m, (_, lam) in zip(self.models, MODEL_BLOCKS)]
-        # (rows, columns, flat source, constant) of every entry.  First the
-        # bands: the third derivatives on the u-u diagonal, then the Hessians
-        # as B
-        entries, offset = [], 0
-        for row_at, col_at in [*zip(u_at, u_at), *zip(lam_at, u_at)]:
-            slot, row, col = _band_slots(len(row_at))
-            keep = (row_at[row] >= 0) & (col_at[col] >= 0)
-            entries.append((row_at[row[keep]], col_at[col[keep]], offset + slot[keep], 0.0))
-            offset += (2 * INTERACTION_RANGE + 1) * len(row_at)
-
-        def place(block, row_at, col_at):
-            shape, pos, vals = block
-            row, col = np.divmod(pos, shape[1])
-            return row_at[row], col_at[col], offset, vals
-
-        # then J and C, constants on the trailing zero flat[offset]; B, J's
-        # u_a-side blocks and C are also placed transposed
-        k = len(self.models)
-        mirrored = entries[k:]
-        entries = entries[:k] + [place(self._j_aa, u_at[0], u_at[0])]
+    def _build_kkt_entries(self):
+        """(rows, cols, source, constants, j_slots): entry e of K lies at (rows[e],
+        cols[e]) and is flat[source[e]], where flat is the third-derivative
+        bands, the Hessians (as B and B^T) and constants (J's u_a-side blocks
+        and C, both also transposed) end to end.  J's other entries, j_slots
+        as (model, band slots, values), are added to the third-derivative
+        bands, so each position appears once.  Each group of entries is in
+        row order, and one block of rows' groups have disjoint columns, so
+        groups sorted by block keep every column's rows ascending: no sort."""
+        lay, k = self.layout, INTERACTION_RANGE
+        index = np.arange(lay.total, dtype=np.int32)
+        # position in K of each model index; -1 where K leaves one out
+        u_at = [np.full(m.n, -1, dtype=np.int32) for m in self.models]
+        lam_at = [np.full(m.n, -1, dtype=np.int32) for m in self.models]
+        for m, u, lam, (u_name, lam_name) in zip(self.models, u_at, lam_at, MODEL_BLOCKS):
+            u[m.free_slice], lam[m.test_idx] = index[lay[u_name]], index[lay[lam_name]]
+        groups, constants, offset, third = [], [], 0, sum((2 * k + 1) * m.n for m in self.models)
+        for m, u, lam in zip(self.models, u_at, lam_at):
+            slot, row, col = _band_slots(m.n)
+            for row_at, f in ((u, offset + slot), (lam, offset + third + slot)):
+                keep = (row_at[row] >= 0) & (u[col] >= 0)
+                groups.append((row_at[row[keep]], u[col[keep]], f[keep]))
+            offset += (2 * k + 1) * m.n
+        offset += third
+        groups += [(c, r, f) for r, c, f in groups[1::2]]
+        # J's (r, c), at r * n + c of a square block, lies in band slot (k + r - c) * n + c
+        j_slots = [(side, pos + (k - pos % n) * n, vals) for side, ((_, n), pos, vals) in
+                   [(0, self._j_aa), *((ov.side, ov.j_cc) for ov in self.overlaps)]]
         for ov in self.overlaps:
-            u_c, eta = u_at[ov.side], lay["eta"].start + ov.row
-            entries.append(place(ov.j_cc, u_c, u_c))
-            mirrored += [place(ov.j_ac, u_at[0], u_c), (eta, u_at[0][ov.a], offset, self.trapz),
-                         (eta, u_c[ov.c], offset, -self.trapz)]
-        entries += mirrored + [(c, r, f, v) for r, c, f, v in mirrored]
-        rows, cols, source, constant = (np.concatenate(x, axis=None) for x in zip(
-            *(np.broadcast_arrays(*e) for e in entries)))
-        # one entry per position, in column-major order, sourced from its band
-        # slot if it has one; J's entries are small integers, so adding them
-        # to the band slots' zeros is exact
-        key, at = np.unique(cols * n + rows, return_inverse=True)
-        band_slot = np.full(len(key), offset)
-        np.minimum.at(band_slot, at, source)
-        return ((key % n).astype(np.int32),
-                np.searchsorted(key // n, np.arange(n + 1)).astype(np.int32),
-                band_slot.astype(np.int32), np.bincount(at, weights=constant, minlength=len(key)))
+            u_c, eta = u_at[ov.side], index[lay["eta"]][ov.row]
+            row, col = np.divmod(ov.j_ac[1], ov.j_ac[0][1])
+            for r, c, vals in ((u_at[0][row], u_c[col], ov.j_ac[2]),
+                               (np.full(len(ov.a), eta), u_at[0][ov.a], self.trapz),
+                               (np.full(len(ov.c), eta), u_c[ov.c], -self.trapz)):
+                f = offset + np.arange(len(vals))
+                groups += [(r, c, f), (c, r, f)]
+                constants.append(vals)
+                offset += len(vals)
+        groups.sort(key=lambda g: g[0][0])  # a group's first row names its block
+        rows, cols, source = (np.concatenate(x) for x in zip(*groups))
+        return rows, cols, source, np.concatenate(constants), j_slots
 
     def lagrangian_hessian(self, state: SystemState) -> KktSystem:
         """Block Hessian of the stationarity functional at the given state.
 
-        The values are gathered from the models' band Hessians into the
-        pattern of _build_kkt_pattern, and exact zeros are dropped, so the
-        matrix is canonical CSC without stored zeros.
+        The Hessian bands are the last gradient's if it was at an equal
+        vector.  The entries of _build_kkt_entries take their values from
+        the bands, and exact zeros are dropped: canonical CSC, no stored zero.
         """
-        fields, adjoints = self._fields(state)
-        bands = ([m.third_contraction(u, lam) for m, u, lam in zip(self.models, fields, adjoints)]
-                 + [m.hessian(u) for m, u in zip(self.models, fields)])
-        if self._kkt_pattern is None:
-            self._kkt_pattern = self._build_kkt_pattern()
-        rows, indptr, source, constant = self._kkt_pattern
-        values = np.concatenate([*(ab.ravel() for ab in bands), [0.0]])[source] + constant
-        kept = np.flatnonzero(values)
-        n = self.layout.total
-        return KktSystem(sp.csc_matrix(
-            (values[kept], rows[kept], np.searchsorted(kept, indptr).astype(np.int32)),
-            shape=(n, n)))
+        point, self._point = self._point, None
+        if point is not None and np.array_equal(point[0], state.vector):
+            fields, adjoints, hessians = point[1:]
+        else:
+            fields, adjoints = self._fields(state)
+            hessians = [m.hessian(u) for m, u in zip(self.models, fields)]
+        if self._kkt_entries is None:
+            self._kkt_entries = self._build_kkt_entries()
+        rows, cols, source, constants, j_slots = self._kkt_entries
+        thirds = [m.third_contraction(u, lam) for m, u, lam in zip(self.models, fields, adjoints)]
+        for k, slot, vals in j_slots:
+            thirds[k].ravel()[slot] += vals
+        flat = np.concatenate([*(ab.ravel() for ab in thirds + hessians), constants])
+        matrix = sp.csc_matrix((flat[source], (rows, cols)), shape=(self.layout.total,) * 2)
+        matrix.eliminate_zeros()
+        return KktSystem(matrix)
 
     # ---------------- solver ----------------
 
@@ -603,8 +599,12 @@ class CoupledProblem:
             diag.kkt_residuals.append(rel)
             return step
 
-        x0 = initial.vector.copy() if initial is not None else self.zero_state().vector
-        vector, diag = damped_newton(x0, gradient, kkt_step, tolerance, diag)
+        try:
+            vector, diag = damped_newton(self.zero_state().vector if initial is None
+                                         else initial.vector.copy(), gradient, kkt_step,
+                                         tolerance, diag)
+        finally:
+            self._point = None  # no Hessian follows the last gradient
         return SystemState(self.layout, vector), diag
 
     # ---------------- composite solution ----------------

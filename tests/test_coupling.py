@@ -1,5 +1,7 @@
 """Coupled problem assembly and saddle-point Newton solver tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -49,10 +51,11 @@ KKT_COST_BOUNDS = {
 }
 
 # (gamma, r_core) -> peak bytes that tracemalloc traces per unknown of the
-# full-lattice oracle, at most: 121.3 measured with the band built chunk by
-# chunk into LAPACK's array, 151.1 when it was built over the whole
-# half-line and copied there
-ORACLE_TRACED_BYTES = {(1.5, 40): 128}
+# full-lattice oracle, at most: 105.3 measured with the band built chunk by
+# chunk into LAPACK's array and neither the start vector nor the last step
+# held by damped_newton, 121.3 with both held, 151.1 when the band was built
+# over the whole half-line and copied there
+ORACLE_TRACED_BYTES = {(1.5, 40): 111}
 
 # (gamma, r_core) -> (sites handed to models._half_line_forces, sites that
 # measure_errors hands to composite_at) at most, for a cold solve and its
@@ -525,6 +528,96 @@ def test_gathered_hessian_equals_block_assembly_bit_for_bit(request, problem):
         K = problem.lagrangian_hessian(state).matrix
         assert K.format == "csc"
         assert_same_bits(K, block_assembled_kkt(problem, state))
+
+
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+def test_kkt_entries_hold_each_position_once_bit_for_bit(request, problem):
+    # one entry per position makes the COO matrix the sum-free CSC one, and
+    # rows that ascend within every column let scipy skip its sort
+    problem = request.getfixturevalue(problem)
+    problem.lagrangian_hessian(problem.zero_state())
+    rows, cols = problem._kkt_entries[:2]
+    n = problem.layout.total
+    assert rows.dtype == cols.dtype == np.int32
+    assert len(np.unique(cols.astype(np.int64) * n + rows)) == len(rows)
+    order = np.argsort(cols, kind="stable")
+    same_col = np.diff(cols[order]) == 0
+    assert np.all(np.diff(rows[order])[same_col] > 0)
+
+
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+def test_hessian_after_any_gradient_is_a_fresh_problems_bit_for_bit(request, problem):
+    # lagrangian_hessian reuses the bands of a gradient at an equal vector;
+    # whatever came before, it must give the bits of a problem that has seen
+    # no call at all
+    problem = request.getfixturevalue(problem)
+    rng = np.random.default_rng(31)
+    a, b = random_state(problem, rng), random_state(problem, rng)
+    rejected = a.copy()
+    rejected.vector += 0.5 * (b.vector - a.vector)
+    collapsed = a.copy()
+    collapsed.u_a[len(collapsed.u_a) // 2] += 0.8  # a bond of length 0.2
+
+    def fresh(state):
+        p = CoupledProblem(problem.dec, problem.mesh, problem.gamma, force=problem.force)
+        return p.lagrangian_hessian(state).matrix
+
+    def gradient_then_hessian_at(first, second):
+        state = first.copy()
+        problem.lagrangian_gradient(state)
+        state.vector[:] = second.vector  # in place: the kept copy must not follow
+        return problem.lagrangian_hessian(state).matrix
+
+    def after_rejected_trial(trial):
+        problem.lagrangian_gradient(a)
+        with contextlib.suppress(ConfigurationError):
+            problem.lagrangian_gradient(trial)
+        return problem.lagrangian_hessian(a).matrix
+
+    with pytest.raises(ConfigurationError):
+        problem.lagrangian_gradient(collapsed)
+    assert_same_bits(gradient_then_hessian_at(a, a), fresh(a))
+    assert_same_bits(gradient_then_hessian_at(a, b), fresh(b))
+    for _ in range(2):
+        assert_same_bits(problem.lagrangian_hessian(b).matrix, fresh(b))
+    for trial in (rejected, collapsed):
+        assert_same_bits(after_rejected_trial(trial), fresh(a))
+    assert problem._point is None
+
+
+@pytest.mark.parametrize("gamma,r_core", [(1.5, 80), (3.0, 320)])
+def test_newton_evaluates_each_band_once_per_point_bit_for_bit(monkeypatch, gamma, r_core):
+    # a Hessian at the accepted trial takes the gradient's Hessian bands and
+    # builds only its three third-derivative bands; a solve that evaluates
+    # every band again must reach the same bits
+    counts = {"band": 0, "gradient": 0, "hessian": 0}
+    stencil_band = atc.models.stencil_band
+    gradient, hessian = CoupledProblem.lagrangian_gradient, CoupledProblem.lagrangian_hessian
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    dec = make_decomposition(r_core, gamma)
+    mesh = build_graded_mesh(dec, gamma)
+    monkeypatch.setattr(atc.models, "stencil_band", count("band", stencil_band))
+    monkeypatch.setattr(CoupledProblem, "lagrangian_gradient", count("gradient", gradient))
+    monkeypatch.setattr(CoupledProblem, "lagrangian_hessian", count("hessian", hessian))
+    reused, diag = CoupledProblem(dec, mesh, gamma).newton_solve()
+    assert counts["hessian"] == diag.iterations > 0
+    assert counts["band"] == 3 * (counts["gradient"] + counts["hessian"])
+
+    def forgetting(self, state):
+        g = gradient(self, state)
+        self._point = None
+        return g
+
+    monkeypatch.setattr(CoupledProblem, "lagrangian_gradient", forgetting)
+    evaluated, diag_evaluated = CoupledProblem(dec, mesh, gamma).newton_solve()
+    assert diag_evaluated.iterations == diag.iterations
+    assert evaluated.vector.tobytes() == reused.vector.tobytes()
 
 
 def test_hessian_vector_products_match_fd(small_problem):
