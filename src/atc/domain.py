@@ -29,12 +29,12 @@ from .potentials import INTERACTION_RANGE
 LATTICE_CHUNK = 1 << 14
 
 # Peak memory per lattice site of [-r_c, r_c] of the two calls that hold
-# every site.  The full-lattice oracle's banded Newton, on the half-line,
-# grew the peak RSS by 77.2-77.4 bytes per site at 647,637 sites, 56.2-56.3
-# at 3,663,575 and 50.1 at 20,724,305 (gamma 1.5, r_core 80, 160 and 320,
-# one BLAS thread, fresh processes), with 15% over the largest kept here;
-# the full composite allocates 24 bytes per site (tracemalloc).
-BYTES_PER_SITE = 90
+# every site.  The oracle, a banded Cholesky on the symmetric positive
+# definite band, grew the peak RSS by 37.4-37.5 bytes per site at 647,637
+# sites, 32.2-32.3 at 3,663,575 and 28.1 at 20,724,305 (gamma 1.5, r_core
+# 80, 160, 320, one BLAS thread, fresh processes; 15% over the largest kept
+# here); the full composite allocates 24 bytes per site (tracemalloc).
+BYTES_PER_SITE = 44
 COMPOSITE_BYTES_PER_SITE = 24
 
 # Peak memory per site of the largest element of the continuum loads, which

@@ -3,17 +3,16 @@
 The reference problem minimizes the full lattice energy over odd
 displacements supported on the truncated domain (zero outside), with the
 manufactured forces applied at every site.  Its Hessian couples sites at most
-two apart, so each Newton step is a banded LU solve (five diagonals, partial
-pivoting) on the half-line, in time and memory linear in the number of sites.
-The iteration itself is coupling.damped_newton, the loop of the coupled
-solve, and the band is assembled by models.stencil_band, as the coupled
-Hessians are; the unknowns, the energy and the LU are the oracle's own, and
-they are what keeps the cross-check independent.  The residual and the band
-are evaluated over the lattice chunks of domain.chunk_bounds, each from its
-own window of the odd field, and each chunk's band columns are written
-straight into the column-major array that LAPACK's gbsv factors in place:
-the solve holds its Newton vectors, the forces and that one array, and no
-other array of every site.
+two apart, so each Newton step is a banded Cholesky solve on the symmetric
+positive definite band (diagonal and two below it) on the half-line, in time
+and memory linear in the number of sites; a stable chain's bonds stay below
+the pair potential's inflection, and a Hessian that is not positive definite
+raises KktSolverError.  The iteration is coupling.damped_newton and the band
+is built by models.stencil_band, as for the coupled Hessians; the unknowns,
+the energy and the factorization are the oracle's own, so the cross-check is
+independent.  The residual and the band go by the chunks of chunk_bounds,
+each from its own window of the odd field, and each chunk's lower band goes
+straight into the array LAPACK's pbsv factors in place, with no second band.
 
 Error functionals measure displacement differences through their first
 lattice differences: the root sum of squares (energy seminorm) and the
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dpbsv
 
 from .coupling import DEFAULT_TOLERANCE, damped_newton
 from .domain import (DomainDecomposition, GradedMesh, chunk_bounds, lattice_chunks,
@@ -83,27 +82,28 @@ def solve_full_atomistic(dec: DomainDecomposition, gamma: float) -> ReferenceSol
         return g
 
     def banded_step(u, g):
-        # the band under k rows for the LU's fill, in the column-major layout
-        # dgbsv factors in place; column j holds unknown j, as g[j] does, and
-        # LAPACK never reads the corners
-        lu = np.zeros((3 * k + 1, n), order="F")
+        # stencil_band's rows k .. 2k, the diagonal and the two below it, in
+        # the column-major layout dpbsv factors in place; column j holds
+        # unknown j, as g[j] does, and LAPACK never reads below the matrix
+        lower = np.zeros((k + 1, n), order="F")
         for start, stop in chunk_bounds(1, n):
             ab = stencil_band(stop - start + 4, 0, 1, 2,
                               *site_hessian_arrays(*differences(u, start, stop)))
             # the window's inner columns, the chunk's own, are complete
-            cols = lu[k:, start - 1:stop - 1]
-            cols[...] = ab[:, 2:-2]
+            cols = lower[:, start - 1:stop - 1]
+            cols[...] = ab[k:, 2:-2]
             if start == 1:
                 # u(-1) = -u(1): site 1's coupling to site -1, the first
                 # window's first column, folds into its diagonal
-                cols[k, 0] -= ab[k + 2, 0]
+                cols[0, 0] -= ab[k + 2, 0]
             # freed before the next chunk's band is built beside it
             del ab
             if not (np.isfinite(cols).all() and np.isfinite(g[start - 1:stop - 1]).all()):
                 raise KktSolverError("banded step: non-finite Hessian band or gradient")
-        _, _, step, info = dgbsv(k, k, lu, -g, overwrite_ab=True, overwrite_b=True)
+        _, step, info = dpbsv(lower, -g, lower=1, overwrite_ab=True, overwrite_b=True)
         if info > 0:
-            raise KktSolverError("banded factorization failed: singular matrix")
+            raise KktSolverError("banded Cholesky failed: the Hessian is not positive "
+                                 f"definite at LAPACK's column {info}")
         return step
 
     u, diag = damped_newton(np.zeros(n), residual_vec, banded_step, DEFAULT_TOLERANCE)

@@ -51,11 +51,11 @@ KKT_COST_BOUNDS = {
 }
 
 # (gamma, r_core) -> peak bytes that tracemalloc traces per unknown of the
-# full-lattice oracle, at most: 105.3 measured with the band built chunk by
-# chunk into LAPACK's array and neither the start vector nor the last step
-# held by damped_newton, 121.3 with both held, 151.1 when the band was built
-# over the whole half-line and copied there
-ORACLE_TRACED_BYTES = {(1.5, 40): 111}
+# full-lattice oracle, at most: 73.3 measured with the three lower band rows
+# that the Cholesky factors, 105.3 with the seven rows of a band LU, 121.3
+# when damped_newton also held its start vector and last step, 151.1 when
+# the band was built over the whole half-line and copied there
+ORACLE_TRACED_BYTES = {(1.5, 40): 78}
 
 # (gamma, r_core) -> (sites handed to models._half_line_forces, sites that
 # measure_errors hands to composite_at) at most, for a cold solve and its

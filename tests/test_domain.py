@@ -176,8 +176,8 @@ def test_decomposition_rejects_domains_too_large_to_hold(monkeypatch):
     # just above gamma 1/2 the radius exponent overflows a float
     with pytest.raises(UsageError, match="too large"):
         make_decomposition(10, 0.5000001)
-    monkeypatch.setattr(domain, "physical_memory", lambda: 8 * 2**30)
-    # 117M sites at r_core 640
+    monkeypatch.setattr(domain, "physical_memory", lambda: 4 * 2**30)
+    # 117M sites at r_core 640, about 5.2 GB
     dec = make_decomposition(640, 1.5)
     assert build_graded_mesh(dec, 1.5).nodes[-1] == dec.r_c
     with pytest.raises(UsageError, match="physical memory"):

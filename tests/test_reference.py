@@ -151,8 +151,55 @@ def test_singular_oracle_step_is_a_kkt_solver_error(monkeypatch):
     # which numpy's LinAlgError is not
     monkeypatch.setattr(atc.reference, "site_hessian_arrays",
                         lambda forward, backward: (np.zeros(len(forward)),) * 3)
-    with pytest.raises(KktSolverError, match="banded factorization failed: singular matrix"):
+    with pytest.raises(KktSolverError, match="not positive definite at LAPACK's column 1$"):
         solve_full_atomistic(make_decomposition(10, GAMMA), GAMMA)
+
+
+def test_indefinite_oracle_step_is_a_kkt_solver_error(monkeypatch):
+    # the negated Hessian is nonsingular, so a band LU factors it and its step
+    # leads uphill; the Cholesky step must refuse it as not positive definite
+    hessian = atc.reference.site_hessian_arrays
+    monkeypatch.setattr(atc.reference, "site_hessian_arrays",
+                        lambda forward, backward: tuple(-c for c in hessian(forward, backward)))
+    with pytest.raises(KktSolverError, match="not positive definite at LAPACK's column 1$"):
+        solve_full_atomistic(make_decomposition(10, GAMMA), GAMMA)
+
+
+@pytest.mark.parametrize("gamma,r_core", [(1.5, 10), (3.0, 20)])
+def test_oracle_cholesky_step_is_the_lu_step_of_the_folded_band(monkeypatch, gamma, r_core):
+    # at a random state, the oracle's step against LU on the full line's band
+    # restricted to sites 1 .. r_c, with site 1's coupling to site -1 folded
+    # into its diagonal by hand; both are backward stable, not bit for bit
+    oracle = {}
+
+    def capturing_newton(x0, gradient, step, tolerance):
+        oracle.update(gradient=gradient, step=step)
+        return damped_newton(x0, gradient, step, tolerance)
+
+    monkeypatch.setattr(atc.reference, "damped_newton", capturing_newton)
+    dec = make_decomposition(r_core, gamma)
+    solve_full_atomistic(dec, gamma)
+    n, k = dec.r_c, INTERACTION_RANGE
+    half = np.random.default_rng(32).uniform(-0.02, 0.02, n)
+    g = oracle["gradient"](half)
+    u = odd_on_the_full_line(half)
+    idx = np.arange(1, len(u) - 1)
+    ab = stencil_band(len(u), 0, 1, 2,
+                      *site_hessian_arrays(u[idx + 1] - u[idx], u[idx - 1] - u[idx]))
+    # site s sits at index n + k + s of the padded full line
+    band = ab[:, n + k + 1:2 * n + k + 1].copy()
+    band[k, 0] -= ab[k + 2, n + k - 1]
+    lu = solve_banded((k, k), band, -g)
+    step = oracle["step"](half, g)
+    assert np.max(np.abs(step - lu)) <= 1e-11 * np.max(np.abs(lu))
+
+
+@pytest.mark.parametrize("gamma,iterations", [(1.0, 6), (1.5, 6), (2.0, 6), (3.0, 5), (5.0, 4)])
+def test_oracle_converges_in_recorded_iterations(gamma, iterations):
+    # the Cholesky step needs a positive definite Hessian at every iterate; a
+    # lost step or a damped one would show as another count.  Recorded with
+    # the band LU at commit bbe7b5d
+    assert solve_full_atomistic(make_decomposition(10, gamma), gamma).iterations == iterations
 
 
 def test_non_finite_oracle_step_is_a_kkt_solver_error(monkeypatch):
