@@ -17,14 +17,15 @@ indefinite saddle-point system
 where A carries second derivatives with respect to the two displacement
 states (the objective's constant Hessian plus the adjoint-contracted third
 derivatives of the subproblem energies) and B the constraint linearizations.
-Each step takes the matrix's entries, each position once, from the models'
-Hessian bands, which the gradient at the same point has evaluated, and from
-the constant objective and constraint entries.  Only the gradient keeps dense
-products, by blocks in one fixed scratch array that the problem keeps zeroed.
+Each step takes the matrix's entries, each position once, from the Hessian
+bands of the point the gradient kept, the one evaluator of a Newton point,
+and from the constant objective and constraint entries.  Only the gradient
+keeps dense products, by blocks in one fixed scratch array kept zeroed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,8 +401,8 @@ class CoupledProblem:
         for m in self.models:
             slot, row, col = _band_slots(m.n)
             self._hessian_plans.append((slot, plan(((m.n, m.n), row * m.n + col))))
-        # the first lagrangian_hessian call's KKT entries; the last gradient's point
-        self._kkt_entries = self._point = None
+        # the last gradient's point
+        self._point = None
 
     # ---------------- states ----------------
 
@@ -512,7 +513,8 @@ class CoupledProblem:
         self._point = (state.vector.copy(), fields, adjoints, hessians)
         return g
 
-    def _build_kkt_entries(self):
+    @functools.cached_property
+    def _kkt_entries(self):
         """(rows, cols, source, constants, j_slots): entry e of K lies at (rows[e],
         cols[e]) and is flat[source[e]], where flat is the third-derivative
         bands, the Hessians (as B and B^T) and constants (J's u_a-side blocks
@@ -557,18 +559,14 @@ class CoupledProblem:
     def lagrangian_hessian(self, state: SystemState) -> KktSystem:
         """Block Hessian of the stationarity functional at the given state.
 
-        The Hessian bands are the last gradient's if it was at an equal
-        vector.  The entries of _build_kkt_entries take their values from
-        the bands, and exact zeros are dropped: canonical CSC, no stored zero.
+        The point is the last gradient's at an equal vector, else the one
+        lagrangian_gradient keeps at this one, and is released here.  The
+        cached _kkt_entries take their values from the point's bands, and
+        exact zeros are dropped: canonical CSC, no stored zero.
         """
-        point, self._point = self._point, None
-        if point is not None and np.array_equal(point[0], state.vector):
-            fields, adjoints, hessians = point[1:]
-        else:
-            fields, adjoints = self._fields(state)
-            hessians = [m.hessian(u) for m, u in zip(self.models, fields)]
-        if self._kkt_entries is None:
-            self._kkt_entries = self._build_kkt_entries()
+        if self._point is None or not np.array_equal(self._point[0], state.vector):
+            self.lagrangian_gradient(state)
+        (_, fields, adjoints, hessians), self._point = self._point, None
         rows, cols, source, constants, j_slots = self._kkt_entries
         thirds = [m.third_contraction(u, lam) for m, u, lam in zip(self.models, fields, adjoints)]
         for k, slot, vals in j_slots:

@@ -588,9 +588,9 @@ def test_hessian_after_any_gradient_is_a_fresh_problems_bit_for_bit(request, pro
 @pytest.mark.parametrize("gamma,r_core", [(1.5, 80), (3.0, 320)])
 def test_newton_evaluates_each_band_once_per_point_bit_for_bit(monkeypatch, gamma, r_core):
     # a Hessian at the accepted trial takes the gradient's Hessian bands and
-    # builds only its three third-derivative bands; a solve that evaluates
-    # every band again must reach the same bits
-    counts = {"band": 0, "gradient": 0, "hessian": 0}
+    # builds only its three third-derivative bands; a solve whose Hessians
+    # drop that point evaluates it again and must reach the same bits
+    counts = {"band": 0, "gradient": 0, "hessian": 0, "in_hessian": 0}
     stencil_band = atc.models.stencil_band
     gradient, hessian = CoupledProblem.lagrangian_gradient, CoupledProblem.lagrangian_hessian
 
@@ -600,24 +600,57 @@ def test_newton_evaluates_each_band_once_per_point_bit_for_bit(monkeypatch, gamm
             return fn(*args, **kwargs)
         return counted
 
+    def counted_hessian(self, state):
+        before = counts["gradient"]
+        system = count("hessian", hessian)(self, state)
+        counts["in_hessian"] += counts["gradient"] - before
+        return system
+
     dec = make_decomposition(r_core, gamma)
     mesh = build_graded_mesh(dec, gamma)
     monkeypatch.setattr(atc.models, "stencil_band", count("band", stencil_band))
     monkeypatch.setattr(CoupledProblem, "lagrangian_gradient", count("gradient", gradient))
-    monkeypatch.setattr(CoupledProblem, "lagrangian_hessian", count("hessian", hessian))
+    monkeypatch.setattr(CoupledProblem, "lagrangian_hessian", counted_hessian)
     reused, diag = CoupledProblem(dec, mesh, gamma).newton_solve()
     assert counts["hessian"] == diag.iterations > 0
+    assert counts["in_hessian"] == 0
     assert counts["band"] == 3 * (counts["gradient"] + counts["hessian"])
 
     def forgetting(self, state):
-        g = gradient(self, state)
         self._point = None
-        return g
+        return hessian(self, state)
 
-    monkeypatch.setattr(CoupledProblem, "lagrangian_gradient", forgetting)
+    monkeypatch.setattr(CoupledProblem, "lagrangian_hessian", forgetting)
     evaluated, diag_evaluated = CoupledProblem(dec, mesh, gamma).newton_solve()
     assert diag_evaluated.iterations == diag.iterations
     assert evaluated.vector.tobytes() == reused.vector.tobytes()
+
+
+def test_hessian_evaluates_a_missed_point_by_one_gradient_bit_for_bit(monkeypatch, problem_10):
+    # the gradient is the one evaluator of a point: a Hessian at a vector the
+    # kept point does not match calls it once, and one right after a
+    # gradient at an equal vector not at all; either way the point is gone
+    problem = problem_10
+    rng = np.random.default_rng(37)
+    a, b = random_state(problem, rng), random_state(problem, rng)
+    problem.lagrangian_gradient(a)
+    expected = problem.lagrangian_hessian(a).matrix
+    calls, gradient = [], CoupledProblem.lagrangian_gradient
+    monkeypatch.setattr(CoupledProblem, "lagrangian_gradient",
+                        lambda self, state: calls.append(state.vector.tobytes())
+                        or gradient(self, state))
+
+    def gradient_calls_of_hessian_after(first):
+        if first is not None:
+            problem.lagrangian_gradient(first)
+        calls.clear()
+        assert_same_bits(problem.lagrangian_hessian(a).matrix, expected)
+        assert problem._point is None
+        return list(calls)
+
+    assert gradient_calls_of_hessian_after(a) == []
+    assert gradient_calls_of_hessian_after(b) == [a.vector.tobytes()]
+    assert gradient_calls_of_hessian_after(None) == [a.vector.tobytes()]
 
 
 def test_hessian_vector_products_match_fd(small_problem):
