@@ -10,14 +10,15 @@ Run:  python demos/02_decomposition_and_mesh.py
 
 import numpy as np
 
-from atc import AtomisticModel, build_graded_mesh, count_dof, make_decomposition, mesh_size
+from atc import (AtomisticModel, build_graded_mesh, count_dof, make_decomposition,
+                 manufacture_forces, mesh_size)
 
 GAMMA = 1.5
 
 dec = make_decomposition(10, GAMMA, norm="energy")
 print(f"radii: r_core={dec.r_core}  r_a={dec.r_a}  r_c={dec.r_c}")
 print(f"atomistic sites: {len(dec.atomistic_sites)}")
-atomistic = AtomisticModel(dec)
+atomistic = AtomisticModel(dec, manufacture_forces(GAMMA, dec))
 print(f"interior sites: {len(atomistic.energy_idx)} "
       f"(energy summed here)")
 print(f"equilibrium sites: {len(atomistic.test_idx)} "

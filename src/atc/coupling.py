@@ -344,12 +344,10 @@ class CoupledProblem:
         self.gamma = gamma
         if force is None:
             force = manufacture_forces(gamma, dec)
-        # the force is fixed by gamma and r_a; one built for other values
-        # gives a wrong answer without any error
-        elif force.gamma != gamma or len(force.values) != 2 * dec.r_a + 1:
-            raise UsageError(
-                f"force built for gamma {force.gamma} on {len(force.values)} atomistic "
-                f"sites; this problem has gamma {gamma} and {2 * dec.r_a + 1}")
+        # the force is fixed by gamma and r_a; one built for another gamma
+        # gives a wrong answer without any error (AtomisticModel checks r_a)
+        elif force.gamma != gamma:
+            raise UsageError(f"force built for gamma {force.gamma}, not {gamma}")
         self.force = force
         self.atomistic = AtomisticModel(dec, self.force)
         self.continuum = ContinuumModel(dec, mesh, self.force)
@@ -497,11 +495,10 @@ class CoupledProblem:
             (ac, ca, cc), f = ov.plans, fields[ov.side]
             parts[0] = parts[0] + product(ac, ov.j_ac[2], f)
             parts[ov.side] = product(ca, ov.j_ac[2], u_a) + product(cc, ov.j_cc[2], f)
-        # the Hessians' in-matrix band entries; + 0.0 turns a -0.0 into the
-        # zero of an entry a sparse matrix would not store
+        # the Hessians' in-matrix band entries
         hessians = [m.hessian(f) for m, f in zip(self.models, fields)]
         for k, (band, (slot, plan)) in enumerate(zip(hessians, self._hessian_plans)):
-            parts[k] = parts[k] + product(plan, band.ravel()[slot] + 0.0, adjoints[k])
+            parts[k] = parts[k] + product(plan, band.ravel()[slot], adjoints[k])
         # C^T eta: an overlap node lies in one mean-zero row only
         for ov in self.overlaps:
             parts[0][ov.a] += self.trapz * state.eta[ov.row]

@@ -176,12 +176,16 @@ class AtomisticModel(Subproblem):
     displacement at an equilibrium site; force work is applied at the
     equilibrium sites only, so boundary-control sites carry no load.
     Equilibrium equations are the energy gradient restricted to equilibrium
-    sites.  Without a force the model carries no load.
+    sites.  The force is the problem's, held on this model's sites.
     """
 
-    def __init__(self, dec: DomainDecomposition, force: ExternalForce | None = None):
+    def __init__(self, dec: DomainDecomposition, force: ExternalForce):
         self.nodes = dec.atomistic_sites
         self.n = len(self.nodes)
+        # the force window is indexed by these sites: one built for another
+        # r_a would put each force on the wrong site without any error
+        if len(force.values) != self.n:
+            raise UsageError(f"force built for {len(force.values)} atomistic sites, not {self.n}")
         self.free_slice = slice(0, self.n)
         m = INTERACTION_RANGE
         # index ranges within the site array
@@ -189,8 +193,7 @@ class AtomisticModel(Subproblem):
         self.test_idx = np.arange(2 * m, self.n - 2 * m)      # equilibrium sites
         # the energy of interior site i reads sites i - 1, i and i + 1
         self._stencil = (m - 1, m, m + 1)
-        self.force_test = (force.values[self.test_idx] if force is not None
-                           else np.zeros(len(self.test_idx)))
+        self.force_test = force.values[self.test_idx]
 
     def _differences(self, u):
         m, n = INTERACTION_RANGE, self.n
@@ -229,7 +232,7 @@ class ContinuumSide(Subproblem):
     Nodes ascend, as in the GradedMesh they come from.  The outer node, the
     one farther from the core, is pinned to zero by the Dirichlet condition;
     the equations are those of the nodes strictly between the two ends, since
-    the inner boundary node is a coupling control.
+    the inner boundary node is a coupling control.  ContinuumModel sets load.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -244,7 +247,6 @@ class ContinuumSide(Subproblem):
         # difference is u[e + 1] - u[e]
         self._stencil = (0, 0, 1)
         self._zero = np.zeros(self.n - 1)
-        self.load = np.zeros(self.n)
 
     def _add_load(self, sums, first: int, f) -> None:
         """Add the load of the unit intervals [m, m + 1], m = first, first + 1, ...
@@ -334,10 +336,9 @@ class ContinuumSide(Subproblem):
 
 
 class ContinuumModel:
-    """The two continuum sides of the decomposition, meshed independently."""
+    """The two continuum sides of the decomposition, meshed independently and loaded."""
 
-    def __init__(self, dec: DomainDecomposition, mesh: GradedMesh,
-                 force: ExternalForce | None = None):
+    def __init__(self, dec: DomainDecomposition, mesh: GradedMesh, force: ExternalForce):
         nodes = mesh.nodes
         if nodes[0] != -dec.r_c or nodes[-1] != dec.r_c:
             raise UsageError("mesh does not span the decomposition domain")
@@ -349,9 +350,8 @@ class ContinuumModel:
             raise UsageError("mesh is not fully refined on the overlap region")
         self.minus = ContinuumSide(minus_nodes)
         self.plus = ContinuumSide(plus_nodes)
-        if force is not None:
-            domain.require_load_memory(dec, mesh)
-            self._build_loads(force)
+        domain.require_load_memory(dec, mesh)
+        self._build_loads(force)
 
     def _build_loads(self, force: ExternalForce) -> None:
         """Exact integral of (If) * hat_n for every node of both sides.

@@ -18,6 +18,7 @@ from atc import (
     count_dof,
     domain,
     make_decomposition,
+    manufacture_forces,
     mesh_size,
     optimal_radii,
     solve_full_atomistic,
@@ -145,7 +146,7 @@ def test_decomposition_invariants():
     assert dec.overlap_intervals == ((-20, -10), (10, 20))
     # energies are summed on the interior sites, equations imposed on the
     # twice-interior ones, which reach past the core region
-    model = AtomisticModel(dec)
+    model = AtomisticModel(dec, manufacture_forces(1.5, dec))
     np.testing.assert_array_equal(model.nodes[model.energy_idx], np.arange(-18, 19))
     np.testing.assert_array_equal(model.nodes[model.test_idx], np.arange(-16, 17))
     assert dec.r_core <= model.nodes[model.test_idx].max()

@@ -19,6 +19,7 @@ from atc import (
     manufacture_forces,
     measure_errors,
 )
+from atc.models import _half_line_forces
 from conftest import GAMMA, band_csr, fd_gradient, rel_err_inf
 
 
@@ -50,6 +51,34 @@ def test_exact_solution_derivative_matches_fd():
     h = 1e-6
     fd = (exact_solution(xs + h, GAMMA) - exact_solution(xs - h, GAMMA)) / (2 * h)
     assert rel_err_inf(exact_solution_derivative(xs, GAMMA), fd) < 1e-8
+
+
+@pytest.mark.parametrize("gamma,sites", [(GAMMA, (10, 100, 1000)), (3.0, (10, 100))])
+def test_half_line_forces_against_mpmath(gamma, sites):
+    # the same five-point formula, vf(t-1) - vf(t) + vb(t+1) - vb(t), in
+    # 60 digits.  The float64 force cancels ever more digits far out: at
+    # gamma 1.5 it is 9.2e-7 off at t = 1e4 and 1.8e-3 at 1e5; at gamma 3,
+    # 5.6e-5 off at t = 1e3 and 100% (zero) from 1e4 on
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def u(x):
+        return mp.mpf("0.1") * x * (1 + x * x) ** (-mp.mpf(gamma) / 2)
+
+    def dphi(r):
+        return 12 * (r**-7 - r**-13)
+
+    def site_gradient(s):
+        d_fwd, d_bwd = u(s + 1) - u(s), u(s - 1) - u(s)
+        d2 = dphi(2 + d_fwd - d_bwd)
+        return dphi(1 + d_fwd) + d2, -d2
+
+    for t in sites:
+        with mp.workdps(60):
+            (vf_m, _), (vf, vb), (_, vb_p) = (site_gradient(mp.mpf(s)) for s in (t - 1, t, t + 1))
+            exact = vf_m - vf + vb_p - vb
+            rel = abs((_half_line_forces(t, t, gamma)[0] - exact) / exact)
+        assert rel < 1e-7
 
 
 def test_forces_antisymmetric(dec):
@@ -123,8 +152,8 @@ def test_force_values_on_any_site_range_equal_the_whole_half_line(monkeypatch, c
             force_values(sites, GAMMA)
 
 
-def test_atomistic_energy_zero_state(dec):
-    model = AtomisticModel(dec)
+def test_atomistic_energy_zero_state(dec, forces):
+    model = AtomisticModel(dec, forces)
     assert model.energy(np.zeros(model.n)) == 0.0
 
 
@@ -169,32 +198,42 @@ def test_atomistic_third_contraction_matches_fd(dec, forces):
     assert rel_err_inf(T.toarray(), fd.toarray()) < 1e-5
 
 
-def test_patch_consistency_uniform_strain(dec):
-    # per-site energy of a homogeneously strained chain equals the density
-    model = AtomisticModel(dec)
+def test_atomistic_refuses_a_force_built_for_another_radius(dec):
+    # the force window is indexed by the model's sites: one for r_core 20
+    # would put each force on the wrong site without any error
+    with pytest.raises(UsageError, match="force built for"):
+        AtomisticModel(dec, manufacture_forces(GAMMA, make_decomposition(20, GAMMA)))
+
+
+def test_patch_consistency_uniform_strain(dec, forces):
+    # per-site internal energy (the work term added back) of a homogeneously
+    # strained chain equals the density
+    model = AtomisticModel(dec, forces)
     for g in (-0.05, -0.01, 0.02, 0.05):
         u = g * dec.atomistic_sites.astype(float)
-        per_site = model.energy(u) / len(model.energy_idx)
+        internal = model.energy(u) + np.dot(model.force_test, u[model.test_idx])
+        per_site = internal / len(model.energy_idx)
         assert abs(per_site - cauchy_born_energy_density(g)) <= 1e-14
 
 
 def test_continuum_energy_zero_state(dec, mesh, forces):
-    cont = ContinuumModel(dec, mesh)  # no force: zero work term
+    cont = ContinuumModel(dec, mesh, forces)
     for side in (cont.minus, cont.plus):
         assert side.energy(side.embed(np.zeros(side.n - 1))) == 0.0
 
 
-def test_continuum_single_element_strain(dec, mesh):
-    # raising one interior node strains exactly its two elements; the energy
-    # is the element sizes times the density at those strains (no force)
-    cont = ContinuumModel(dec, mesh)
+def test_continuum_single_element_strain(dec, mesh, forces):
+    # raising one interior node strains exactly its two elements; the
+    # internal energy (the work term added back) is the element sizes times
+    # the density at those strains
+    cont = ContinuumModel(dec, mesh, forces)
     plus = cont.plus
     u = np.zeros(plus.n)
     u[1] = 0.03 * plus.h[0]
     g0, g1 = 0.03, -0.03 * plus.h[0] / plus.h[1]
     expected = (plus.h[0] * cauchy_born_energy_density(g0)
                 + plus.h[1] * cauchy_born_energy_density(g1))
-    assert abs(plus.energy(u) - expected) < 1e-14
+    assert abs(plus.energy(u) + np.dot(plus.load, u) - expected) < 1e-14
 
 
 def test_continuum_gradient_matches_fd(dec, mesh, forces):
@@ -223,8 +262,8 @@ def test_continuum_hessian_symmetric_and_matches_fd(dec, mesh, forces):
         assert rel_err_inf(H @ v, fd) < 1e-5
 
 
-def test_continuum_third_contraction_matches_fd(dec, mesh):
-    cont = ContinuumModel(dec, mesh)
+def test_continuum_third_contraction_matches_fd(dec, mesh, forces):
+    cont = ContinuumModel(dec, mesh, forces)
     side = cont.minus
     rng = np.random.default_rng(10)
     u = rng.uniform(-0.05, 0.05, side.n)
@@ -253,10 +292,10 @@ def test_continuum_work_term_exact_for_linear_interpolant(dec, mesh, forces):
     assert abs(np.dot(side.load, u) - exact) < 1e-12 * max(1.0, abs(exact))
 
 
-def test_continuum_requires_refined_overlap(dec):
+def test_continuum_requires_refined_overlap(dec, forces):
     bad = GradedMesh(np.array([-dec.r_c, -dec.r_core, dec.r_core, dec.r_c]))
     with pytest.raises(UsageError):
-        ContinuumModel(dec, bad)
+        ContinuumModel(dec, bad, forces)
 
 
 def one_shot_load(side, force):

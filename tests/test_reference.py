@@ -318,6 +318,21 @@ def test_full_atomistic_approaches_exact_solution_as_domain_grows():
     assert errs[1] < np.sqrt(truncation_tail_sq(GAMMA, 200))
 
 
+@pytest.mark.parametrize("gamma,r_c", [(GAMMA, 1000), (3.0, 200), (2.0, 500)])
+def test_oracle_total_error_falls_like_the_truncation_tail(gamma, r_c):
+    # the oracle's total error, its seminorm error on the domain and the
+    # exact field's tail beyond it, is the truncation error: it falls like
+    # R^(1/2 - gamma) (0.3%, 0.6% and 0.1% off over a factor 4 in R)
+    def total_error(r):
+        values = solve_full_atomistic(small_dec(r), gamma).values
+        exact = exact_solution(np.arange(-r - 1, r + 2), gamma)
+        err = energy_seminorm_error(np.pad(values, 1), exact)
+        return np.sqrt(err**2 + truncation_tail_sq(gamma, r))
+
+    ratio = total_error(4 * r_c) / total_error(r_c)
+    assert ratio == pytest.approx(4.0 ** (0.5 - gamma), rel=0.1)
+
+
 def test_energy_seminorm_reference_cases():
     assert energy_seminorm_error(np.zeros(5), np.zeros(5)) == 0.0
     # difference field g*xi over the passed range: n differences of size g;
