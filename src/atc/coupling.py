@@ -20,7 +20,8 @@ derivatives of the subproblem energies) and B the constraint linearizations.
 Each step takes the matrix's entries, each position once, from the Hessian
 bands of the point the gradient kept, the one evaluator of a Newton point,
 and from the constant objective and constraint entries.  Only the gradient
-keeps dense products, by blocks in one fixed scratch array kept zeroed.
+keeps dense products, by blocks in one scratch array kept zeroed, which a
+solve drops when it returns.
 """
 
 from __future__ import annotations
@@ -353,12 +354,12 @@ class CoupledProblem:
         self.continuum = ContinuumModel(dec, mesh, self.force)
         self.models = (self.atomistic, self.continuum.minus, self.continuum.plus)
         na = self.atomistic.n
-        # the gradient's dense products are built here, block by block
+        # floats of the scratch the gradient's dense products are built in
         n = max(m.n for m in self.models)
-        self._scratch = np.zeros(min(n * n, max(PRODUCT_SCRATCH, 7 * n)))
+        self._scratch_size = min(n * n, max(PRODUCT_SCRATCH, 7 * n))
 
         def plan(block, transpose=False):
-            return _product_plan(*block[:2], transpose, self._scratch.size)
+            return _product_plan(*block[:2], transpose, self._scratch_size)
 
         w = dec.overlap_width
         self.trapz = np.ones(w + 1)
@@ -454,6 +455,12 @@ class CoupledProblem:
         for eta, c in zip(state.eta, self.mean_zero_constraints(*unknowns)):
             total += eta * c
         return float(total)
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        """The gradient's dense products are built here, block by block;
+        zero between products, and dropped when newton_solve returns."""
+        return np.zeros(self._scratch_size)
 
     def _dense_product(self, plan, vals, v) -> np.ndarray:
         """The product of a _product_plan whose entries are vals.
@@ -600,6 +607,7 @@ class CoupledProblem:
                                          tolerance, diag)
         finally:
             self._point = None  # no Hessian follows the last gradient
+            self.__dict__.pop("_scratch", None)  # a kept problem holds no scratch
         return SystemState(self.layout, vector), diag
 
     # ---------------- composite solution ----------------

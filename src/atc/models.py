@@ -361,12 +361,12 @@ class ContinuumModel:
         at most LATTICE_CHUNK sites unless one element is longer, and takes
         each range's forces once (ExternalForce.half_line: held up to r_a,
         evaluated beyond), used at +t for the plus side and negated for the
-        minus side (the field is odd).  Each element's unit
-        intervals are added in ascending site order, as one np.bincount over
-        the whole side adds them: ascending |site| on the plus side,
-        descending on the minus side, in sub-chunks of at most LATTICE_CHUNK
-        intervals.  The caller checks the largest element against memory
-        first (domain.require_load_memory).
+        minus side (the field is odd).  It holds one range's forces at a
+        time.  Each element's unit intervals are added in ascending site
+        order, as one np.bincount over the whole side adds them: ascending
+        |site| on the plus side, descending on the minus side, in sub-chunks
+        of at most LATTICE_CHUNK intervals.  The caller checks the largest
+        element against memory first (domain.require_load_memory).
         """
         minus, plus = self.minus, self.plus
         bounds = np.union1d(plus.nodes, -minus.nodes)
@@ -381,6 +381,7 @@ class ContinuumModel:
                 sub = slice(start, stop + 1)
                 plus._add_load(sums[plus], first + start, f[sub])
                 minus._add_load(sums[minus], -last + start, -f[::-1][sub])
+            del f  # else the next range's forces are evaluated beside these
             i = j
         for side, (left, right) in sums.items():
             side.load = left + right

@@ -374,6 +374,20 @@ def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, 
     assert {transpose for _, transpose, _, _, blocks in plans if len(blocks) > 1} == blocked
 
 
+def test_solved_problem_drops_its_product_scratch_bit_for_bit():
+    # a problem kept after its solve (a warm sweep's seed) holds no scratch;
+    # a later gradient allocates a zeroed one and keeps the bits
+    dec = make_decomposition(10, GAMMA)
+    mesh = build_graded_mesh(dec, GAMMA)
+    problem = CoupledProblem(dec, mesh, GAMMA)
+    state, _ = problem.newton_solve()
+    assert "_scratch" not in problem.__dict__
+    g = problem.lagrangian_gradient(state)
+    fresh = CoupledProblem(dec, mesh, GAMMA).lagrangian_gradient(state)
+    assert g.tobytes() == fresh.tobytes()
+    assert not np.any(problem._scratch)
+
+
 def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
     # the rules _dense_product's blocks rest on, on this BLAS: a kernel that
     # splits a product at other rows or columns fails here first.  The row

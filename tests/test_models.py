@@ -373,6 +373,27 @@ def test_loads_reject_an_element_too_large_to_hold_before_any_force(monkeypatch)
         ContinuumModel(dec, mesh, force)
 
 
+def test_loads_hold_one_element_at_a_time():
+    # at gamma 1.5, r_core 160 the largest far-field element has 729,329
+    # sites (5.8 MB), the range before it 361,873: the set-up's traced peak
+    # is that element plus 13.8 chunk arrays, 33.8 when the previous range's
+    # forces were still held while the next range's were evaluated
+    import tracemalloc
+
+    dec = make_decomposition(160, GAMMA)
+    mesh = build_graded_mesh(dec, GAMMA)
+    force = manufacture_forces(GAMMA, dec)
+    far = np.unique(np.abs(mesh.nodes[np.abs(mesh.nodes) >= dec.r_core]))
+    largest = int(np.max(np.diff(far))) + 1
+    tracemalloc.start()
+    try:
+        ContinuumModel(dec, mesh, force)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * largest + 20 * domain.LATTICE_CHUNK * 8
+
+
 def test_coupled_solve_memory_does_not_grow_with_the_domain():
     # gamma 1.5 at r_core 80 spans 647,637 sites; a per-site float64 array
     # alone would take 5.2 MB, and the one-shot sums held about a dozen
