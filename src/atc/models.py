@@ -254,60 +254,46 @@ class ContinuumSide(Subproblem):
         f holds the site forces at first .. first + len(f) - 1.  The force
         interpolant is linear on each interval, so its integral against
         each of the two hat functions there is quadratic and the weighted
-        two-point trapezoid rule below is exact.  The range is cut into runs
-        at the element boundaries it spans.  On an interval j sites into an
-        element of length h, the hats are (h - j) / h and j / h at its left
-        end, and their values at its right end are the next interval's, so
-        only the last interval of a run divides again.  Every numerator is
-        an exact integer.  A range inside one element divides by its one h;
-        the hats are the same bits.  sums = (left, right) hold per node the
-        running totals over the element to its right and to its left.  One
-        np.bincount continues both: the held totals enter ahead of the new
-        terms, and np.bincount adds in input order from 0.0, so each node's
-        total continues exactly.  The two totals' terms are interleaved, so
-        their two sequential sums overlap.
+        two-point trapezoid rule below is exact.  On an interval j sites
+        into an element of length h, the hats are (h - j) / h and j / h at
+        its left end and (h - j - 1) / h and (j + 1) / h at its right end;
+        every numerator is an exact integer, so the latter are the next
+        interval's bits.  sums = (left, right) hold per node the running
+        totals over the element to its right and to its left; np.add.at adds
+        each interval's term to its node in input order, so each node's
+        total continues exactly across calls.
         """
         left, right = sums
         last = first + len(f) - 1
         # elements e0 .. e1 - 1 hold the intervals first .. last - 1
         e0 = int(np.searchsorted(self.nodes, first, side="right")) - 1
         e1 = int(np.searchsorted(self.nodes, last - 1, side="right"))
-        m = e1 - e0
         # the hats of the element's left node (pl) and right node (pr) at the
-        # interval's two ends, and each interval's element from e0 (elem)
-        if m == 1:
+        # interval's two ends, and each interval's element (elem)
+        if e1 - e0 == 1:
             h = self.h[e0]
             j = np.arange(first - self.nodes[e0], last - self.nodes[e0] + 1, dtype=float)
             pr, pl = j / h, (h - j) / h
             pr0, pr1, pl0, pl1 = pr[:-1], pr[1:], pl[:-1], pl[1:]
-            elem = 0
+            elem = np.full(len(f) - 1, e0)
         else:
             counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
-            elem = np.repeat(np.arange(m), counts)
+            elem = np.repeat(np.arange(e0, e1), counts)
             j = np.arange(first, last) - np.repeat(self.nodes[e0:e1], counts)
             h = np.repeat(self.h[e0:e1], counts)
             pr0, pl0 = j / h, (h - j) / h
-            pr1, pl1 = np.empty_like(pr0), np.empty_like(pl0)
-            pr1[:-1], pl1[:-1] = pr0[1:], pl0[1:]
-            end = np.cumsum(counts) - 1
-            pr1[end], pl1[end] = (j[end] + 1) / h[end], (h[end] - j[end] - 1) / h[end]
+            pr1, pl1 = (j + 1) / h, (h - j - 1) / h
         fm, fp = f[:-1], f[1:]
         fm2, fp2 = 2.0 * fm, 2.0 * fp
         tmp = np.empty(len(fm))
-        weights = np.empty(2 * (m + len(fm)))
-        weights[:m], weights[m:2 * m] = left[e0:e1], right[e0 + 1:e1 + 1]
-        bins = np.empty(len(weights), dtype=np.intp)
-        bins[:2 * m] = np.arange(2 * m)
-        bins[2 * m::2], bins[2 * m + 1::2] = elem, elem + m
-        for k, (p0, p1) in enumerate(((pl0, pl1), (pr0, pr1))):
+        for total, node, p0, p1 in ((left, elem, pl0, pl1), (right, elem + 1, pr0, pr1)):
             # (2 fm p0 + fm p1 + fp p0 + 2 fp p1) / 6, summed left to right
             terms = fm2 * p0
             terms += np.multiply(fm, p1, out=tmp)
             terms += np.multiply(fp, p0, out=tmp)
             terms += np.multiply(fp2, p1, out=tmp)
-            np.divide(terms, 6.0, out=weights[2 * m + k::2])
-        totals = np.bincount(bins, weights=weights)
-        left[e0:e1], right[e0 + 1:e1 + 1] = totals[:m], totals[m:]
+            terms /= 6.0
+            np.add.at(total, node, terms)
 
     def strains(self, u_full) -> np.ndarray:
         return np.diff(u_full) / self.h
@@ -362,11 +348,11 @@ class ContinuumModel:
         each range's forces once (ExternalForce.half_line: held up to r_a,
         evaluated beyond), used at +t for the plus side and negated for the
         minus side (the field is odd).  It holds one range's forces at a
-        time.  Each element's unit intervals are added in ascending site
-        order, as one np.bincount over the whole side adds them: ascending
-        |site| on the plus side, descending on the minus side, in sub-chunks
-        of at most LATTICE_CHUNK intervals.  The caller checks the largest
-        element against memory first (domain.require_load_memory).
+        time.  Each node's total adds its unit intervals in ascending site
+        order (ascending |site| on the plus side, descending on the minus
+        side), in sub-chunks of at most LATTICE_CHUNK intervals, by
+        np.add.at.  The caller checks the largest element against memory
+        first (domain.require_load_memory).
         """
         minus, plus = self.minus, self.plus
         bounds = np.union1d(plus.nodes, -minus.nodes)

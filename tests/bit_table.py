@@ -1,10 +1,11 @@
 """Print the bits of cold coupled solves, one line per gamma:r_core key.
 
-Each line holds the key, the Newton iteration count, repr(err_l2) and the
-first 16 hex digits of the SHA-1 of the solved state vector's bytes.  Two
-trees whose tables are identical solve those keys bit for bit; compare them
-on the same BLAS kernel with one BLAS thread, since the last bits of a dense
-product depend on both.
+Each line holds the key, the Newton iteration count, repr(err_l2), the
+first 16 hex digits of the SHA-1 of the solved state vector's bytes and the
+first 12 of the SHA-1 of the continuum loads' bytes (minus side, then plus
+side).  Two trees whose tables are identical solve those keys bit for bit
+from the same loads; compare them on the same BLAS kernel with one BLAS
+thread, since the last bits of a dense product depend on both.
 
 Run:  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/bit_table.py [KEY ...]
 
@@ -30,7 +31,9 @@ def row(key: str) -> str:
     state, diag = problem.newton_solve()
     err_l2, _ = measure_errors(problem, state)
     sha = hashlib.sha1(state.vector.tobytes()).hexdigest()[:16]
-    return f"{key} {diag.iterations} {err_l2!r} {sha}"
+    sides = problem.continuum.minus, problem.continuum.plus
+    load = hashlib.sha1(b"".join(side.load.tobytes() for side in sides)).hexdigest()[:12]
+    return f"{key} {diag.iterations} {err_l2!r} {sha} {load}"
 
 
 def main(keys) -> None:

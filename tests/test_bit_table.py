@@ -19,6 +19,7 @@ def test_bit_table_prints_key_count_err_l2_and_state_sha1():
     rows = [line.split(" ") for line in proc.stdout.splitlines()]
     assert [row[0] for row in rows] == ["1.5:10", "3.0:20"]
     assert [int(row[1]) for row in rows] == [NEWTON_ITERS_10, RECORDED_COLD_SOLVES[(3.0, 20)][1]]
-    for _, _, err_l2, sha in rows:
+    for _, _, err_l2, sha, load in rows:
         assert 0.0 < float(err_l2) < 1e-3 and repr(float(err_l2)) == err_l2
         assert re.fullmatch("[0-9a-f]{16}", sha)
+        assert re.fullmatch("[0-9a-f]{12}", load)

@@ -376,8 +376,10 @@ def test_loads_reject_an_element_too_large_to_hold_before_any_force(monkeypatch)
 def test_loads_hold_one_element_at_a_time():
     # at gamma 1.5, r_core 160 the largest far-field element has 729,329
     # sites (5.8 MB), the range before it 361,873: the set-up's traced peak
-    # is that element plus 13.8 chunk arrays, 33.8 when the previous range's
-    # forces were still held while the next range's were evaluated
+    # is that element plus 11.8 chunk arrays; 13.8 when each range's terms
+    # were copied into one bincount's weights and bins, and 33.8 when the
+    # previous range's forces were still held while the next range's were
+    # evaluated
     import tracemalloc
 
     dec = make_decomposition(160, GAMMA)
@@ -391,7 +393,7 @@ def test_loads_hold_one_element_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * largest + 20 * domain.LATTICE_CHUNK * 8
+    assert peak <= 8 * largest + 13 * domain.LATTICE_CHUNK * 8
 
 
 def test_coupled_solve_memory_does_not_grow_with_the_domain():
