@@ -15,13 +15,14 @@ indefinite saddle-point system
     [ B   0  ]
 
 where A carries second derivatives with respect to the two displacement
-states (the objective's constant Hessian plus the adjoint-contracted third
-derivatives of the subproblem energies) and B the constraint linearizations.
-Each step takes the matrix's entries, each position once, from the Hessian
-bands of the point the gradient kept, the one evaluator of a Newton point,
-and from the constant objective and constraint entries.  Only the gradient
-keeps dense products, by blocks in one scratch array kept zeroed, which a
-solve drops when it returns.
+states (the objective's constant Hessian, a stencil band per model whose
+u_a-side blocks are the sides' bands negated, plus the adjoint-contracted
+third derivatives of the subproblem energies) and B the constraint
+linearizations.  Each step takes the matrix's entries, each position once,
+from the Hessian bands of the point the gradient kept, the one evaluator of a
+Newton point, and from the constant objective and constraint entries.  Only
+the gradient keeps dense products, by blocks in one scratch array kept
+zeroed, which a solve drops when it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .domain import COMPOSITE_BYTES_PER_SITE, DomainDecomposition, GradedMesh, require_memory
 from .exceptions import ConfigurationError, KktSolverError, NonConvergenceError, UsageError
-from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces
+from .models import AtomisticModel, ContinuumModel, ExternalForce, manufacture_forces, stencil_band
 from .potentials import INTERACTION_RANGE
 
 # each model's unknown and adjoint blocks, in the order of CoupledProblem.models
@@ -111,9 +112,10 @@ class Overlap:
 
     side is the side's index in CoupledProblem.models; c holds the side's
     nodes inside [-r_a, r_a] as side indices and a the same sites as u_a
-    indices; row is the overlap's mean-zero row in eta.  j_ac and j_cc are
-    its u_a-side and side-side blocks of J, as _summed_entries, and plans
-    the _product_plans of j_ac @ v, j_ac.T @ v and j_cc @ v.
+    indices; row is the overlap's mean-zero row in eta.  j_ac is its u_a-side
+    block of J as (shape, flat positions, values): the side's J entries
+    negated, each row moved to its site's u_a row; plans are the
+    _product_plans of j_ac @ v and j_ac.T @ v.
     """
 
     side: int
@@ -121,7 +123,6 @@ class Overlap:
     c: np.ndarray
     row: int
     j_ac: tuple
-    j_cc: tuple
     plans: tuple
 
 
@@ -224,19 +225,6 @@ def _band_slots(n: int):
     keep = (col >= 0) & (col < n)
     row, col = row[keep], col[keep]
     return (k + row - col) * n + col, row, col
-
-
-def _summed_entries(shape, *triplets):
-    """(shape, flat positions, values) of a C-ordered array of this shape.
-
-    Each triplet (rows, cols, vals) is broadcast together; duplicate
-    positions are summed in input order, which is exact for the +-1
-    coefficients of J.
-    """
-    rows, cols, vals = (np.concatenate(x, axis=None)
-                        for x in zip(*(np.broadcast_arrays(*t) for t in triplets)))
-    pos, at = np.unique(rows * shape[1] + cols, return_inverse=True)
-    return shape, pos, np.bincount(at, weights=vals)
 
 
 def _product_plan(shape, pos, transpose, size):
@@ -361,45 +349,45 @@ class CoupledProblem:
         def plan(block, transpose=False):
             return _product_plan(*block[:2], transpose, self._scratch_size)
 
+        # J, the objective's Hessian, is on each model the stencil_band of unit
+        # forward differences on the elements with both ends in r_core <= |x|
+        # <= r_a: the band, and its nonzero entries (shape, flat positions,
+        # values) in row-major order with their plan.  The Hessian bands are
+        # read at their in-matrix slots, with the plan of a dense (n, n) array
+        self._j, self._hessian_plans = [], []
+        for m in self.models:
+            slot, row, col = _band_slots(m.n)
+            inside = (dec.r_core <= np.abs(m.nodes)) & (np.abs(m.nodes) <= dec.r_a)
+            unit = (inside[:-1] & inside[1:]).astype(float)
+            band = stencil_band(m.n, 0, 0, 1, unit, 0 * unit, 0 * unit)
+            vals, pos = band.ravel()[slot], row * m.n + col
+            j = ((m.n, m.n), pos[vals != 0.0], vals[vals != 0.0])
+            self._j.append((band, j, plan(j)))
+            self._hessian_plans.append((slot, plan(((m.n, m.n), pos))))
+
         w = dec.overlap_width
         self.trapz = np.ones(w + 1)
         self.trapz[0] = self.trapz[-1] = 0.5
         # Overlap element k of a side spans nodes a[:, k] of u_a and c[:, k]
         # of the side's full nodal vector; its strain mismatch is
-        # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]).  The objective's
-        # Hessian J sums the outer products of those coefficients.  Each block
-        # of J (u_a-u_a over both overlaps, then u_a-side and side-side per
-        # overlap) is held as the summed entries of a dense C-ordered array of
-        # its shape, for the gradient's products and the KKT entries.  The
-        # mean-zero rows C hold the trapezoid weights on each overlap's nodes,
-        # + on u_a and - on the side.  eta's rows take the sides from the
-        # right: row 0 is the plus side's.
-        sign = np.array([-1.0, 1.0, 1.0, -1.0])
-        coef = np.outer(sign, sign)[:, :, None]
-        aa, self.overlaps = [], []
+        # (u_a[a[1]] - u_a[a[0]]) - (u_c[c[1]] - u_c[c[0]]), so J's u_a-side
+        # block is the side's J negated, side row r moved to u_a row
+        # nodes[r] + r_a.  The mean-zero rows C hold the trapezoid weights on
+        # each overlap's nodes, + on u_a and - on the side.  eta's rows take
+        # the sides from the right: row 0 is the plus side's.
+        self.overlaps = []
         for k, side in enumerate(self.models[1:], 1):
             c = np.flatnonzero(np.abs(side.nodes) <= dec.r_a)
-            a = side.nodes[c] + dec.r_a
-            ea, ec = np.array((a[:-1], a[1:])), np.array((c[:-1], c[1:]))
-            aa.append((ea[:, None], ea[None], coef[:2, :2]))
-            j_ac = _summed_entries((na, side.n), (ea[:, None], ec[None], coef[:2, 2:]))
-            j_cc = _summed_entries((side.n, side.n), (ec[:, None], ec[None], coef[2:, 2:]))
-            self.overlaps.append(Overlap(k, a, c, len(self.models) - 1 - k, j_ac, j_cc,
-                                         (plan(j_ac), plan(j_ac, True), plan(j_cc))))
-        self._j_aa = _summed_entries((na, na), *aa)
-        self._j_aa_plan = plan(self._j_aa)
+            _, (_, pos, vals), _ = self._j[k]
+            row, col = np.divmod(pos, side.n)
+            j_ac = ((na, side.n), (side.nodes[row] + dec.r_a) * side.n + col, -vals)
+            self.overlaps.append(Overlap(k, side.nodes[c] + dec.r_a, c, len(self.models) - 1 - k,
+                                         j_ac, (plan(j_ac), plan(j_ac, True))))
 
         sizes = {u: len(range(m.n)[m.free_slice]) for m, (u, _) in zip(self.models, MODEL_BLOCKS)}
         sizes.update({lam: len(m.test_idx) for m, (_, lam) in zip(self.models, MODEL_BLOCKS)})
         sizes["eta"] = len(self.overlaps)
         self.layout = BlockLayout(sizes)
-
-        # the in-matrix slots of the models' Hessian bands, and the plans of
-        # their products as dense (n, n) arrays
-        self._hessian_plans = []
-        for m in self.models:
-            slot, row, col = _band_slots(m.n)
-            self._hessian_plans.append((slot, plan(((m.n, m.n), row * m.n + col))))
         # the last gradient's point
         self._point = None
 
@@ -496,12 +484,11 @@ class CoupledProblem:
         # J's products, u_a's summed over the overlaps in order:
         # (aa + ac_minus) + ac_plus
         product = self._dense_product
-        u_a = fields[0]
-        parts = [product(self._j_aa_plan, self._j_aa[2], u_a)] + [None] * len(self.overlaps)
+        parts = [product(plan, j[2], f) for (_, j, plan), f in zip(self._j, fields)]
         for ov in self.overlaps:
-            (ac, ca, cc), f = ov.plans, fields[ov.side]
-            parts[0] = parts[0] + product(ac, ov.j_ac[2], f)
-            parts[ov.side] = product(ca, ov.j_ac[2], u_a) + product(cc, ov.j_cc[2], f)
+            ac, ca = ov.plans
+            parts[0] = parts[0] + product(ac, ov.j_ac[2], fields[ov.side])
+            parts[ov.side] = product(ca, ov.j_ac[2], fields[0]) + parts[ov.side]
         # the Hessians' in-matrix band entries
         hessians = [m.hessian(f) for m, f in zip(self.models, fields)]
         for k, (band, (slot, plan)) in enumerate(zip(hessians, self._hessian_plans)):
@@ -519,14 +506,13 @@ class CoupledProblem:
 
     @functools.cached_property
     def _kkt_entries(self):
-        """(rows, cols, source, constants, j_slots): entry e of K lies at (rows[e],
+        """(rows, cols, source, constants): entry e of K lies at (rows[e],
         cols[e]) and is flat[source[e]], where flat is the third-derivative
-        bands, the Hessians (as B and B^T) and constants (J's u_a-side blocks
-        and C, both also transposed) end to end.  J's other entries, j_slots
-        as (model, band slots, values), are added to the third-derivative
-        bands, so each position appears once.  Each group of entries is in
-        row order, and one block of rows' groups have disjoint columns, so
-        groups sorted by block keep every column's rows ascending: no sort."""
+        bands with each model's J band added, the Hessians (as B and B^T) and
+        constants (J's u_a-side blocks and C, both also transposed) end to
+        end, so each position appears once.  Each group of entries is in row
+        order, and one block of rows' groups have disjoint columns, so groups
+        sorted by block keep every column's rows ascending: no sort."""
         lay, k = self.layout, INTERACTION_RANGE
         index = np.arange(lay.total, dtype=np.int32)
         # position in K of each model index; -1 where K leaves one out
@@ -543,9 +529,6 @@ class CoupledProblem:
             offset += (2 * k + 1) * m.n
         offset += third
         groups += [(c, r, f) for r, c, f in groups[1::2]]
-        # J's (r, c), at r * n + c of a square block, lies in band slot (k + r - c) * n + c
-        j_slots = [(side, pos + (k - pos % n) * n, vals) for side, ((_, n), pos, vals) in
-                   [(0, self._j_aa), *((ov.side, ov.j_cc) for ov in self.overlaps)]]
         for ov in self.overlaps:
             u_c, eta = u_at[ov.side], index[lay["eta"]][ov.row]
             row, col = np.divmod(ov.j_ac[1], ov.j_ac[0][1])
@@ -558,7 +541,7 @@ class CoupledProblem:
                 offset += len(vals)
         groups.sort(key=lambda g: g[0][0])  # a group's first row names its block
         rows, cols, source = (np.concatenate(x) for x in zip(*groups))
-        return rows, cols, source, np.concatenate(constants), j_slots
+        return rows, cols, source, np.concatenate(constants)
 
     def lagrangian_hessian(self, state: SystemState) -> KktSystem:
         """Block Hessian of the stationarity functional at the given state.
@@ -571,10 +554,10 @@ class CoupledProblem:
         if self._point is None or not np.array_equal(self._point[0], state.vector):
             self.lagrangian_gradient(state)
         (_, fields, adjoints, hessians), self._point = self._point, None
-        rows, cols, source, constants, j_slots = self._kkt_entries
+        rows, cols, source, constants = self._kkt_entries
         thirds = [m.third_contraction(u, lam) for m, u, lam in zip(self.models, fields, adjoints)]
-        for k, slot, vals in j_slots:
-            thirds[k].ravel()[slot] += vals
+        for third, (band, _, _) in zip(thirds, self._j):
+            third += band
         flat = np.concatenate([*(ab.ravel() for ab in thirds + hessians), constants])
         matrix = sp.csc_matrix((flat[source], (rows, cols)), shape=(self.layout.total,) * 2)
         matrix.eliminate_zeros()

@@ -335,6 +335,18 @@ def test_overlap_records_are_the_decomposition_overlaps(problem_10):
         expect[cont.plus], expect[cont.minus])
 
 
+def test_gradient_on_sides_of_unequal_length_bit_for_bit(problem_uneven):
+    # each side's u_a-side block of J comes from its own band, so the sides'
+    # shapes must not be mixed up; the gradient's other bit tests run on
+    # mirrored meshes, whose sides have one length
+    problem = problem_uneven
+    assert problem.continuum.minus.n != problem.continuum.plus.n
+    rng = np.random.default_rng(38)
+    for state in (problem.zero_state(), random_state(problem, rng), random_state(problem, rng)):
+        g = problem.lagrangian_gradient(state)
+        assert g.tobytes() == dense_gradient(problem, state).tobytes()
+
+
 # (gamma, r_core, scratch of the fewest rows of the largest model, the kinds
 # of product that run by more than one block: False for a @ v, True for
 # a.T @ v): one block per product, then blocks of 4 outputs; at 3:320 the
@@ -534,7 +546,7 @@ def assert_same_bits(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20", "problem_uneven"])
 def test_gathered_hessian_equals_block_assembly_bit_for_bit(request, problem):
     problem = request.getfixturevalue(problem)
     rng = np.random.default_rng(29)
@@ -559,7 +571,7 @@ def test_kkt_entries_hold_each_position_once_bit_for_bit(request, problem):
     assert np.all(np.diff(rows[order])[same_col] > 0)
 
 
-@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20"])
+@pytest.mark.parametrize("problem", ["problem_10", "problem_gamma3_20", "problem_uneven"])
 def test_hessian_after_any_gradient_is_a_fresh_problems_bit_for_bit(request, problem):
     # lagrangian_hessian reuses the bands of a gradient at an equal vector;
     # whatever came before, it must give the bits of a problem that has seen
