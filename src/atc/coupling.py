@@ -21,8 +21,8 @@ third derivatives of the subproblem energies) and B the constraint
 linearizations.  Each step takes the matrix's entries, each position once,
 from the Hessian bands of the point the gradient kept, the one evaluator of a
 Newton point, and from the constant objective and constraint entries.  Only
-the gradient keeps dense products, by blocks in one scratch array kept
-zeroed, which a solve drops when it returns.
+the gradient keeps dense products, by blocks in a zeroed scratch array that
+each gradient call allocates for itself.
 """
 
 from __future__ import annotations
@@ -269,6 +269,27 @@ def _product_plan(shape, pos, transpose, size):
     return length, transpose, order, local, blocks
 
 
+def _dense_product(plan, vals, v, scratch) -> np.ndarray:
+    """The product of a _product_plan whose entries are vals, in a zeroed scratch.
+
+    Each block is a dense BLAS product on a C-ordered view of the scratch,
+    or on that view's transpose; a sparse product, or a Fortran-ordered
+    copy, sums the rows in another order, and one ULP in the gradient moves
+    the converged err_l2 past 1e-6 relative (gamma 3, r_core 320).  The
+    scratch is zero again on return.
+    """
+    length, transpose, order, local, blocks = plan
+    vals = vals[order]
+    out = np.zeros(length)
+    for o0, o1, v0, v1, i0, i1 in blocks:
+        flat = scratch[:(o1 - o0) * (v1 - v0)]
+        flat[local[i0:i1]] = vals[i0:i1]
+        a = flat.reshape(v1 - v0, -1).T if transpose else flat.reshape(o1 - o0, -1)
+        out[o0:o1] = a @ v[v0:v1]
+        flat[local[i0:i1]] = 0.0
+    return out
+
+
 def check_tolerance(tolerance: float) -> None:
     """Raise a UsageError unless the Newton tolerance is finite and positive."""
     if not 0.0 < tolerance < np.inf:
@@ -444,34 +465,6 @@ class CoupledProblem:
             total += eta * c
         return float(total)
 
-    @functools.cached_property
-    def _scratch(self) -> np.ndarray:
-        """The gradient's dense products are built here, block by block;
-        zero between products, and dropped when newton_solve returns."""
-        return np.zeros(self._scratch_size)
-
-    def _dense_product(self, plan, vals, v) -> np.ndarray:
-        """The product of a _product_plan whose entries are vals.
-
-        Each block is a dense BLAS product on a C-ordered view of the
-        scratch, or on that view's transpose; a sparse product, or a
-        Fortran-ordered copy, sums the rows in another order, and one ULP in
-        the gradient moves the converged err_l2 past 1e-6 relative (gamma 3,
-        r_core 320).  The scratch is zero again on return.
-        """
-        length, transpose, order, local, blocks = plan
-        vals = vals[order]
-        out = np.zeros(length)
-        for o0, o1, v0, v1, i0, i1 in blocks:
-            flat = self._scratch[:(o1 - o0) * (v1 - v0)]
-            flat[local[i0:i1]] = vals[i0:i1]
-            try:
-                a = flat.reshape(v1 - v0, -1).T if transpose else flat.reshape(o1 - o0, -1)
-                out[o0:o1] = a @ v[v0:v1]
-            finally:
-                flat[local[i0:i1]] = 0.0
-        return out
-
     def lagrangian_gradient(self, state: SystemState) -> np.ndarray:
         """Gradient of the stationarity functional; keeps its point (a copy of
         the vector, the fields, the adjoints and the Hessian bands) for a
@@ -483,7 +476,7 @@ class CoupledProblem:
 
         # J's products, u_a's summed over the overlaps in order:
         # (aa + ac_minus) + ac_plus
-        product = self._dense_product
+        product = functools.partial(_dense_product, scratch=np.zeros(self._scratch_size))
         parts = [product(plan, j[2], f) for (_, j, plan), f in zip(self._j, fields)]
         for ov in self.overlaps:
             ac, ca = ov.plans
@@ -590,7 +583,6 @@ class CoupledProblem:
                                          tolerance, diag)
         finally:
             self._point = None  # no Hessian follows the last gradient
-            self.__dict__.pop("_scratch", None)  # a kept problem holds no scratch
         return SystemState(self.layout, vector), diag
 
     # ---------------- composite solution ----------------
@@ -601,9 +593,14 @@ class CoupledProblem:
         Atomistic values on |site| <= r_a, the continuum interpolant of each
         side outside it, zero on and beyond the outer boundary.  Sites that
         all lie strictly inside one element beyond r_a take np.interp's own
-        formula on that element, the same bits without its search.
+        formula on that element, the same bits without its search.  Sites
+        that are not integers, or that decrease, are a UsageError.
         """
         sites = np.asarray(sites)
+        if not np.issubdtype(sites.dtype, np.integer):
+            raise UsageError(f"composite sites must be integers, got {sites.dtype}")
+        if np.any(sites[1:] < sites[:-1]):
+            raise UsageError("composite sites must ascend")
         sides = self.models[1:]
         x = np.concatenate([m.x for m in sides])
         y = np.concatenate([m.embed(u) for m, u in zip(sides, self._unknowns(state)[1:])])

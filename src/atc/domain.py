@@ -216,7 +216,11 @@ class GradedMesh:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=int)
+        nodes = np.asarray(self.nodes)
+        whole = np.isfinite(nodes) & (nodes == np.trunc(nodes))
+        if not np.all(whole):
+            raise UsageError(f"mesh nodes must be finite integers, got {nodes[~whole][0]}")
+        nodes = nodes.astype(int, copy=False)
         object.__setattr__(self, "nodes", nodes)
         if np.any(np.diff(nodes) <= 0):
             raise UsageError("mesh nodes must be strictly increasing")

@@ -375,20 +375,20 @@ def test_gradient_equals_dense_products_bit_for_bit(monkeypatch, gamma, r_core, 
     monkeypatch.setattr(atc.coupling, "_product_plan", recorded)
     problem = CoupledProblem(dec, mesh, gamma)
     assert len(plans) == 10
-    assert problem._scratch.size <= atc.coupling.PRODUCT_SCRATCH
-    # states A, B and A again: an entry the scratch kept from B changes A
+    assert problem._scratch_size <= atc.coupling.PRODUCT_SCRATCH
+    # states A, B and A again: an entry kept from B would change A
     rng = np.random.default_rng(31)
     a, b = random_state(problem, rng), random_state(problem, rng)
     for state in (a, b, a):
         g = problem.lagrangian_gradient(state)
         assert g.tobytes() == dense_gradient(problem, state).tobytes()
-        assert not np.any(problem._scratch)
     assert {transpose for _, transpose, _, _, blocks in plans if len(blocks) > 1} == blocked
 
 
 def test_solved_problem_drops_its_product_scratch_bit_for_bit():
     # a problem kept after its solve (a warm sweep's seed) holds no scratch;
-    # a later gradient allocates a zeroed one and keeps the bits
+    # a later gradient builds its products in a scratch of its own, keeps
+    # the bits, and leaves none on the problem either
     dec = make_decomposition(10, GAMMA)
     mesh = build_graded_mesh(dec, GAMMA)
     problem = CoupledProblem(dec, mesh, GAMMA)
@@ -397,7 +397,7 @@ def test_solved_problem_drops_its_product_scratch_bit_for_bit():
     g = problem.lagrangian_gradient(state)
     fresh = CoupledProblem(dec, mesh, GAMMA).lagrangian_gradient(state)
     assert g.tobytes() == fresh.tobytes()
-    assert not np.any(problem._scratch)
+    assert "_scratch" not in problem.__dict__
 
 
 def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
@@ -427,8 +427,7 @@ def test_blas_keeps_the_bits_of_aligned_blocks_of_four_or_more_outputs():
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(monkeypatch, problem_10,
-                                                                  transpose):
+def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(transpose):
     # random arrays over sums of 2,101 terms, each product in a plain scratch
     # that it fits, then in one that cuts it into blocks of 56 outputs and a
     # tail of 1 or 2, which joins the block before it.  a.T's entries lie in
@@ -446,8 +445,7 @@ def test_dense_product_by_blocks_is_the_whole_product_bit_for_bit(monkeypatch, p
         plan = atc.coupling._product_plan(shape, pos, transpose, size)
         assert [b[:4] for b in plan[-1]] == [(o0, o1, *window) for o0, o1 in zip(cuts, cuts[1:])]
         scratch = np.zeros(size)
-        monkeypatch.setattr(problem_10, "_scratch", scratch)
-        got = problem_10._dense_product(plan, a.ravel()[pos], v)
+        got = atc.coupling._dense_product(plan, a.ravel()[pos], v, scratch)
         assert got.tobytes() == ((a.T if transpose else a) @ v).tobytes()
         assert not np.any(scratch)
 
@@ -1024,6 +1022,22 @@ def test_composite_at_samples_ascending_sites_and_zero_beyond(problem_10):
     inside = np.abs(sites) <= dec.r_c
     sampled = np.where(inside, expect[np.where(inside, sites + dec.r_c, 0)], 0.0)
     assert np.array_equal(problem_10.composite_at(state, sites), sampled)
+
+
+@pytest.mark.parametrize("sites", [[1000, 5], [300, 30, -300], [-3.0, 0.0, 2.0]],
+                         ids=["beyond_then_inside", "descending_across_zero", "floats"])
+def test_composite_at_refuses_sites_it_would_sample_wrongly(problem_10, sites):
+    # the one-element path reads its element from the first and last sites,
+    # and the atomistic values go to the sites searchsorted finds between
+    # -r_a and r_a: decreasing sites took another element's values there
+    # (0.00476 for site 5 after 1000, where 5 alone gives 0.04338 at a
+    # solved state), so they and non-integer sites are refused
+    state = random_state(problem_10, np.random.default_rng(40))
+    with pytest.raises(UsageError):
+        problem_10.composite_at(state, sites)
+    ascending = np.sort(np.asarray(sites, dtype=int))
+    assert np.array_equal(problem_10.composite_at(state, ascending),
+                          [problem_10.composite_at(state, [x])[0] for x in ascending])
 
 
 def test_composite_at_is_np_interp_bit_for_bit_on_random_knots():

@@ -260,6 +260,20 @@ def test_mesh_rejects_unsorted_nodes():
         GradedMesh(np.array([0, 2, 1]))
 
 
+@pytest.mark.parametrize("nodes", [[-5.7, -2.2, 0.0, 2.9, 5.5], [-3.0, np.nan, 4.0],
+                                   [-3.0, 1.0, np.inf]], ids=["fractions", "nan", "inf"])
+def test_mesh_rejects_nodes_that_are_not_finite_integers(nodes):
+    # a cast to int would truncate the fractions to [-5, -2, 0, 2, 5], a
+    # different mesh, without an error
+    with pytest.raises(UsageError):
+        GradedMesh(nodes)
+
+
+def test_mesh_takes_integral_floats_as_integer_nodes():
+    nodes = GradedMesh([-3.0, 1.0, 4.0]).nodes
+    assert nodes.dtype == int and nodes.tolist() == [-3, 1, 4]
+
+
 @pytest.mark.parametrize("overlap", [0, 1, 4])
 def test_lattice_chunks_cover_every_site_and_share_the_overlap(monkeypatch, overlap):
     monkeypatch.setattr(domain, "LATTICE_CHUNK", 5)
