@@ -37,9 +37,9 @@ LATTICE_CHUNK = 1 << 14
 BYTES_PER_SITE = 44
 COMPOSITE_BYTES_PER_SITE = 24
 
-# Peak memory per site of the largest element of the continuum loads, which
-# hold one range's forces at a time, that element's at most: the set-up grew
-# the peak RSS by 8.1 bytes per site at 19.1M sites and by 8.0 at 106M (gamma
+# Peak memory per site of the continuum loads, which hold one range's forces
+# at a time, the minus side's largest element's at most: the set-up grew the
+# peak RSS by 8.1 bytes per site at 19.1M sites and by 8.0 at 106M (gamma
 # 1.5, r_core 640 and 1280, fresh processes).  It stays 14, not 8, so that
 # the 713.8M-site element of gamma 1.5, r_core 2560 is still refused on
 # 8 GiB (any value below about 12.03 accepts it): it would take 5.7 GB of
@@ -259,14 +259,14 @@ def count_dof(dec: DomainDecomposition, mesh: GradedMesh) -> int:
 
 
 def require_load_memory(dec: DomainDecomposition, mesh: GradedMesh) -> None:
-    """Reject a mesh whose largest far-field element would not fit in memory.
+    """Reject a mesh whose largest minus-side element would not fit in memory.
 
-    The continuum loads hold one range's forces at a time, the whole of the
-    largest element of |site| >= r_core at most, LOAD_BYTES_PER_SITE per
-    site.  The mesh alone decides this, so a sweep checks every radius
-    before its first solve.
+    The continuum loads hold one range's forces at a time, ranges cut at
+    the minus side's element boundaries: the whole of its largest element,
+    named by |site|, at most, LOAD_BYTES_PER_SITE per site.  The mesh alone
+    decides this, so a sweep checks every radius before its first solve.
     """
-    far = np.unique(np.abs(mesh.nodes[np.abs(mesh.nodes) >= dec.r_core]))
+    far = -mesh.nodes[mesh.nodes <= -dec.r_core][::-1]
     e = int(np.argmax(np.diff(far)))
     require_memory(f"the element [{far[e]}, {far[e + 1]}] of the continuum loads",
                    int(far[e + 1] - far[e]) + 1, LOAD_BYTES_PER_SITE)

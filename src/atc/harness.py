@@ -185,10 +185,12 @@ def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> l
     """Each radius's (decomposition, graded mesh), in order, for the solve.
 
     Raises a UsageError for an invalid tolerance or radius, a radius whose
-    largest far-field element would not fit in memory, two output paths
-    that name the same file, or one that cannot be opened.  The radii and
-    the mesh are arithmetic, so this solves nothing.  A file the probe
-    creates is removed again, so a failed run leaves none.
+    loads would not fit in memory (domain.require_load_memory), a gamma
+    whose exact field squares to 0 at site 1, so that every error would
+    read 0, two output paths that name the same file, or one that cannot
+    be opened.  The radii and the mesh are arithmetic, so this solves
+    nothing.  A file the probe creates is removed again, so a failed run
+    leaves none.
     """
     check_tolerance(tolerance)
     points = []
@@ -197,6 +199,8 @@ def check_inputs(r_cores, gamma: float, norm: str, tolerance: float, paths) -> l
         mesh = build_graded_mesh(dec, gamma, norm=norm)
         require_load_memory(dec, mesh)
         points.append((dec, mesh))
+    if exact_solution(1.0, gamma) ** 2 == 0.0:
+        raise UsageError(f"gamma {gamma} is too large: its squared errors underflow to 0")
     named = {}
     for path in (p for p in paths if p is not None):
         real = os.path.realpath(path)

@@ -254,46 +254,40 @@ class ContinuumSide(Subproblem):
         f holds the site forces at first .. first + len(f) - 1.  The force
         interpolant is linear on each interval, so its integral against
         each of the two hat functions there is quadratic and the weighted
-        two-point trapezoid rule below is exact.  On an interval j sites
-        into an element of length h, the hats are (h - j) / h and j / h at
-        its left end and (h - j - 1) / h and (j + 1) / h at its right end;
-        every numerator is an exact integer, so the latter are the next
-        interval's bits.  sums = (left, right) hold per node the running
-        totals over the element to its right and to its left; np.add.at adds
-        each interval's term to its node in input order, so each node's
-        total continues exactly across calls.
+        two-point trapezoid rule below is exact.  Each site takes the hats
+        (h - j) / h and j / h of the element of the interval that starts
+        there (the last site: of its own interval), j sites into it; every
+        numerator is an exact integer.  They serve as the left-end hats of
+        that interval and the right-end hats of the one before, except where
+        that one ends its element: there they are exactly 0.0 and 1.0.
+        sums = (left, right) hold per node the running totals over the
+        element to its right and to its left; np.add.at adds each
+        interval's term to its node in input order, so each node's total
+        continues exactly across calls in ascending site order.
         """
         left, right = sums
         last = first + len(f) - 1
         # elements e0 .. e1 - 1 hold the intervals first .. last - 1
         e0 = int(np.searchsorted(self.nodes, first, side="right")) - 1
         e1 = int(np.searchsorted(self.nodes, last - 1, side="right"))
-        # the hats of the element's left node (pl) and right node (pr) at the
-        # interval's two ends, and each interval's element (elem)
-        if e1 - e0 == 1:
-            h = self.h[e0]
-            j = np.arange(first - self.nodes[e0], last - self.nodes[e0] + 1, dtype=float)
-            pr, pl = j / h, (h - j) / h
-            pr0, pr1, pl0, pl1 = pr[:-1], pr[1:], pl[:-1], pl[1:]
-            elem = np.full(len(f) - 1, e0)
-        else:
-            counts = np.diff(np.concatenate(([first], self.nodes[e0 + 1:e1], [last])))
-            elem = np.repeat(np.arange(e0, e1), counts)
-            j = np.arange(first, last) - np.repeat(self.nodes[e0:e1], counts)
-            h = np.repeat(self.h[e0:e1], counts)
-            pr0, pl0 = j / h, (h - j) / h
-            pr1, pl1 = (j + 1) / h, (h - j - 1) / h
-        fm, fp = f[:-1], f[1:]
-        fm2, fp2 = 2.0 * fm, 2.0 * fp
+        inner = self.nodes[e0 + 1:e1]
+        counts = np.diff(np.concatenate(([first], inner, [last + 1])))
+        elem = np.repeat(np.arange(e0, e1), counts)
+        j = np.arange(first, last + 1, dtype=float) - np.repeat(self.x[e0:e1], counts)
+        h = np.repeat(self.h[e0:e1], counts)
+        ends = inner - first - 1
+        fm, fp, f2 = f[:-1], f[1:], 2.0 * f
         tmp = np.empty(len(fm))
-        for total, node, p0, p1 in ((left, elem, pl0, pl1), (right, elem + 1, pr0, pr1)):
+        for total, p, end in ((left, (h - j) / h, 0.0), (right[1:], j / h, 1.0)):
+            f2p = f2 * p
             # (2 fm p0 + fm p1 + fp p0 + 2 fp p1) / 6, summed left to right
-            terms = fm2 * p0
-            terms += np.multiply(fm, p1, out=tmp)
-            terms += np.multiply(fp, p0, out=tmp)
-            terms += np.multiply(fp2, p1, out=tmp)
+            terms = np.add(f2p[:-1], np.multiply(fm, p[1:], out=tmp))
+            terms += np.multiply(fp, p[:-1], out=tmp)
+            terms += f2p[1:]
+            terms[ends] = (f2p[ends] + fm[ends] * end + fp[ends] * p[ends]
+                           + f2[ends + 1] * end)
             terms /= 6.0
-            np.add.at(total, node, terms)
+            np.add.at(total, elem[:-1], terms)
 
     def strains(self, u_full) -> np.ndarray:
         return np.diff(u_full) / self.h
@@ -343,19 +337,21 @@ class ContinuumModel:
         """Exact integral of (If) * hat_n for every node of both sides.
 
         One sweep over |site| = r_core .. r_c serves both sides: it cuts the
-        sites into ranges that end on element boundaries of both sides, each
-        at most LATTICE_CHUNK sites unless one element is longer, and takes
-        each range's forces once (ExternalForce.half_line: held up to r_a,
-        evaluated beyond), used at +t for the plus side and negated for the
-        minus side (the field is odd).  It holds one range's forces at a
-        time.  Each node's total adds its unit intervals in ascending site
-        order (ascending |site| on the plus side, descending on the minus
-        side), in sub-chunks of at most LATTICE_CHUNK intervals, by
-        np.add.at.  The caller checks the largest element against memory
-        first (domain.require_load_memory).
+        sites into ranges that end on the minus side's element boundaries,
+        each at most LATTICE_CHUNK sites unless one minus element is longer,
+        and takes each range's forces once (ExternalForce.half_line: held up
+        to r_a, evaluated beyond), used at +t for the plus side and negated
+        for the minus side (the field is odd).  It holds one range's forces
+        at a time.  Each node's total adds its unit intervals in ascending
+        site order, in sub-chunks of at most LATTICE_CHUNK intervals, by
+        np.add.at: the ranges ascend in |site|, so the plus side's elements
+        may be split anywhere, while no minus element is split over two
+        ranges.  The caller checks the minus side's largest element, the
+        one range held whole, against memory first
+        (domain.require_load_memory).
         """
         minus, plus = self.minus, self.plus
-        bounds = np.union1d(plus.nodes, -minus.nodes)
+        bounds = -minus.nodes[::-1]
         sums = {side: (np.zeros(side.n), np.zeros(side.n)) for side in (minus, plus)}
         i = 0
         while i < len(bounds) - 1:

@@ -30,17 +30,22 @@ def problem_10():
     return CoupledProblem(dec, mesh, GAMMA)
 
 
-@pytest.fixture(scope="session")
-def problem_uneven():
-    """Coupled problem whose sides differ in length: 25 random coarse knots
-    on the minus side, 40 on the plus side, drawn as in the composite's
-    random-knot test."""
+def uneven_mesh():
+    """A decomposition and a mesh whose sides differ in length: 25 random
+    coarse knots on the minus side, 40 on the plus side, drawn as in the
+    composite's random-knot test."""
     rng = np.random.default_rng(20)
     dec = DomainDecomposition(10, 20, 400)
     coarse = [np.sort(rng.choice(np.arange(dec.r_a + 1, dec.r_c), count, replace=False))
               for count in (25, 40)]
     nodes = np.concatenate((-coarse[0][::-1], np.arange(-dec.r_a, dec.r_a + 1), coarse[1]))
-    return CoupledProblem(dec, GradedMesh(np.concatenate(([-dec.r_c], nodes, [dec.r_c]))), GAMMA)
+    return dec, GradedMesh(np.concatenate(([-dec.r_c], nodes, [dec.r_c])))
+
+
+@pytest.fixture(scope="session")
+def problem_uneven():
+    """Coupled problem on uneven_mesh."""
+    return CoupledProblem(*uneven_mesh(), GAMMA)
 
 
 @pytest.fixture(scope="session")

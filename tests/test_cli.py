@@ -239,6 +239,22 @@ def test_sweep_checks_every_radius_memory_before_solving(tmp_path, capsys, monke
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_gamma_whose_errors_all_underflow_is_usage_error(command, tmp_path, capsys, monkeypatch):
+    # at gamma 3000 the exact field is 0.1 * 2**-1500 at site 1: every squared
+    # error underflows, so converged rows would read err_l2 = 0.0, which
+    # `atc rate` refuses; the run exits 2 before it solves and leaves no file
+    monkeypatch.setattr(harness, "CoupledProblem", _no_solve)
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli([command, "--r-core", "10", "--gamma", "3000",
+                              "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "gamma 3000.0 is too large" in err and "converged" not in out
+    assert not out_file.exists()
+    # at gamma 1000 the errors are small but positive
+    assert len(harness.check_inputs([10], 1000.0, "energy", 1e-9, ())) == 1
+
+
 def test_sweep_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
     # --plot-data would be written over the --out CSV; the second path
     # reaches the file through a symlinked directory

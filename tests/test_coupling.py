@@ -720,6 +720,37 @@ def test_solve_kkt_residual_above_bound_raises(monkeypatch, small_problem):
     assert 1.0 < err.value.condition_estimate < np.inf
 
 
+def test_solve_kkt_refinement_meets_the_bound_from_a_perturbed_factor(monkeypatch, problem_10):
+    # the first Newton step of problem_10 by an LU of K with its entries
+    # scaled by 1 + 1e-10 noise: the first solve misses KKT_RESIDUAL_BOUND,
+    # and refinement against the exact K meets it
+    rng = np.random.default_rng(33)
+    splu = atc.coupling.spla.splu
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, *args, **kwargs):
+            solves.append(rhs)
+            return self.lu.solve(rhs, *args, **kwargs)
+
+    def perturbed(matrix, *args, **kwargs):
+        matrix = matrix.copy()
+        matrix.data *= 1.0 + 1e-10 * rng.standard_normal(matrix.nnz)
+        return CountingLU(splu(matrix, *args, **kwargs))
+
+    monkeypatch.setattr(atc.coupling.spla, "splu", perturbed)
+    state = problem_10.zero_state()
+    K = problem_10.lagrangian_hessian(state).matrix
+    rhs = -problem_10.lagrangian_gradient(state)
+    x, rel = solve_kkt_linear(K, rhs)
+    assert len(solves) > 1
+    assert rel <= atc.coupling.KKT_RESIDUAL_BOUND
+    assert np.max(np.abs(K @ x - rhs)) <= atc.coupling.KKT_RESIDUAL_BOUND * np.max(np.abs(rhs))
+
+
 def test_solve_kkt_toy_saddle_system():
     # [[I, B^T], [B, 0]] with B = (1 0): x1 = r3, x2 = r2, x3 = r1 - r3
     K = sp.csc_matrix(np.array([[1.0, 0.0, 1.0],

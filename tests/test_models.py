@@ -1,5 +1,7 @@
 """Atomistic and continuum energy tests against finite-difference oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from atc import (
     measure_errors,
 )
 from atc.models import _half_line_forces
-from conftest import GAMMA, band_csr, fd_gradient, rel_err_inf
+from conftest import GAMMA, band_csr, fd_gradient, rel_err_inf, uneven_mesh
 
 
 @pytest.fixture(scope="module")
@@ -323,29 +325,43 @@ def one_shot_errors(problem, state):
     return float(np.sqrt(np.dot(d, d))), float(np.max(np.abs(d)))
 
 
+def graded_problem(gamma, r_core):
+    dec = make_decomposition(r_core, gamma)
+    return CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma)
+
+
 # chunks of 2 and 3 sites give one-interval ranges, and ranges that start
 # and end inside an element; gamma 3 has a mesh of other proportions.  At
 # r_core 40 an element of 22,543 sites first outgrows the default chunk, so
-# the loads and errors run inside one element at their real size
-CHUNKED_CASES = ([pytest.param(GAMMA, r_core, chunk, id=f"{r_core}-{chunk}")
+# the loads and errors run inside one element at their real size.  On the
+# uneven mesh the two sides' nodes differ, so a range cut at a plus node
+# would split a minus element and add its near part first
+CHUNKED_CASES = ([pytest.param(partial(graded_problem, GAMMA, r_core), chunk,
+                               id=f"{r_core}-{chunk}")
                   for r_core, chunks in ((10, (2, 3, 5, 64)), (20, (5, 64)))
                   for chunk in chunks]
-                 + [pytest.param(3.0, 20, chunk, id=f"gamma3-20-{chunk}")
+                 + [pytest.param(partial(graded_problem, 3.0, 20), chunk, id=f"gamma3-20-{chunk}")
                     for chunk in (2, 3, 5, 64)]
-                 + [pytest.param(GAMMA, 40, domain.LATTICE_CHUNK, id="40-default")])
+                 + [pytest.param(partial(graded_problem, GAMMA, 40), domain.LATTICE_CHUNK,
+                                 id="40-default")]
+                 + [pytest.param(lambda: CoupledProblem(*uneven_mesh(), GAMMA), chunk,
+                                 id=f"uneven-{chunk}")
+                    for chunk in (2, 3, 5, 64)])
 
 
-@pytest.mark.parametrize("gamma,r_core,chunk", CHUNKED_CASES)
-def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, gamma, r_core,
-                                                                chunk):
+@pytest.mark.parametrize("build,chunk", CHUNKED_CASES)
+def test_chunked_loads_and_errors_equal_one_pass_over_all_sites(monkeypatch, build, chunk):
     # the sweep cuts elements longer than a chunk into sub-chunks and
     # carries each node's running total across them: the loads must be the
     # one-shot bincount's bytes; err_l2 sums its squares in another order
     monkeypatch.setattr(domain, "LATTICE_CHUNK", chunk)
-    dec = make_decomposition(r_core, gamma)
-    problem = CoupledProblem(dec, build_graded_mesh(dec, gamma), gamma)
-    assert max(np.diff(problem.mesh.nodes)) > chunk
-    for side in (problem.continuum.minus, problem.continuum.plus):
+    problem = build()
+    minus, plus = problem.continuum.minus, problem.continuum.plus
+    # a mirrored mesh needs an element longer than the chunk; the uneven
+    # mesh, whose longest element has 51 sites, needs sides that differ
+    assert (max(np.diff(problem.mesh.nodes)) > chunk
+            or not np.array_equal(-minus.nodes[::-1], plus.nodes))
+    for side in (minus, plus):
         assert side.load.tobytes() == one_shot_load(side, problem.force).tobytes()
     state, _ = problem.newton_solve()
     err_l2, err_inf = measure_errors(problem, state)
@@ -371,6 +387,20 @@ def test_loads_reject_an_element_too_large_to_hold_before_any_force(monkeypatch)
     lo = int(dec.r_c - np.max(np.diff(mesh.nodes)))
     with pytest.raises(UsageError, match=rf"element \[{lo}, {dec.r_c}\].*physical memory"):
         ContinuumModel(dec, mesh, force)
+
+
+def test_load_memory_bounds_the_minus_sides_largest_element(monkeypatch):
+    # the loads cut their ranges at minus nodes only, so the range held whole
+    # is the minus side's largest element: on the uneven mesh [-337, -286],
+    # 52 sites, which plus nodes at 295, 302, 319 and 326 split into pieces
+    # of at most 21
+    dec, mesh = uneven_mesh()
+    need = 52 * domain.LOAD_BYTES_PER_SITE
+    monkeypatch.setattr(domain, "physical_memory", lambda: need)
+    domain.require_load_memory(dec, mesh)
+    monkeypatch.setattr(domain, "physical_memory", lambda: need - 1)
+    with pytest.raises(UsageError, match=r"element \[286, 337\].*physical memory"):
+        domain.require_load_memory(dec, mesh)
 
 
 def test_loads_hold_one_element_at_a_time():
